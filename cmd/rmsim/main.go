@@ -327,17 +327,12 @@ func main() {
 		}
 	}
 
-	var res *sim.Result
-	if *shards > 1 || *batchWin > 0 {
-		res, err = sim.RunSharded(cfg, sim.ShardConfig{
-			Shards:      *shards,
-			BatchWindow: *batchWin,
-			Workers:     *shardWork,
-			NewSolver:   newSolver,
-		}, tr)
-	} else {
-		res, err = sim.Run(cfg, tr)
-	}
+	res, err := sim.RunSharded(cfg, sim.ShardConfig{
+		Shards:      *shards,
+		BatchWindow: *batchWin,
+		Workers:     *shardWork,
+		NewSolver:   newSolver,
+	}, tr)
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}

@@ -1,10 +1,14 @@
 // Package engine is the activation engine shared by every driver of the
-// paper's admission protocol: one request's worth of RM work — arrival
-// intake, problem assembly (active jobs + arriving job + predicted jobs +
-// upcoming critical releases), the admission protocol, applying the
-// resulting mapping with migration charging, and executing the planned
-// EDF schedule (including reservations for predicted tasks) between
-// activations.
+// paper's admission protocol: arrival intake, problem assembly (active
+// jobs + arriving job + predicted jobs + upcoming critical releases), the
+// admission protocol, applying the resulting mapping with migration
+// charging, and executing the planned EDF schedule (including
+// reservations for predicted tasks) between activations.
+//
+// The protocol has one implementation, the batch-epoch pipeline of
+// ActivateEpoch (batch.go). Activate is its singleton case — one request,
+// closing at its own arrival — and NewSharded with one shard returns the
+// bare Engine, so every driver configuration runs the same code path.
 //
 // The engine is clock-agnostic: it never reads wall time. A driver owns
 // the clock and pushes time into the engine — the discrete-event
@@ -28,18 +32,16 @@
 // the work-conserving EDF schedule), preserving the paper's "no preemption
 // between two activations" property.
 //
-// An Engine is not safe for concurrent use: Activate, AdvanceTo, Drain
-// and Finalize must be externally serialised, matching the Solver and
-// BudgetedSolver concurrency contracts (one activation at a time per
-// solver instance). internal/serve holds one mutex around the engine and
-// its solver for exactly this reason.
+// An Engine is not safe for concurrent use: Activate, ActivateEpoch,
+// AdvanceTo, Drain and Finalize must be externally serialised, matching
+// the Solver and BudgetedSolver concurrency contracts (one activation at
+// a time per solver instance). internal/serve holds one mutex around the
+// engine and its solver for exactly this reason.
 package engine
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"time"
 
 	"predrm/internal/core"
 	"predrm/internal/critical"
@@ -48,7 +50,6 @@ import (
 	"predrm/internal/sched"
 	"predrm/internal/task"
 	"predrm/internal/telemetry"
-	"predrm/internal/trace"
 )
 
 // Config assembles one engine (one run's worth of RM state).
@@ -314,9 +315,9 @@ func newInstruments(reg *telemetry.Registry) instruments {
 }
 
 // Engine is the mutable activation-engine state. Create with New; drive
-// with Activate (one request), AdvanceTo (execute up to a time), Drain
-// (run remaining work out in engine time) and Finalize (assemble the
-// Result). Not safe for concurrent use.
+// with Activate (one request) or ActivateEpoch (a batch), AdvanceTo
+// (execute up to a time), Drain (run remaining work out in engine time)
+// and Finalize (assemble the Result). Not safe for concurrent use.
 type Engine struct {
 	cfg    Config
 	now    float64
@@ -336,6 +337,12 @@ type Engine struct {
 	// pendingResv holds the reservations installed by the last replan, so
 	// the next activation can report whether they were held (plan mode).
 	pendingResv []ghostRef
+	// predJobs holds the current epoch's forecast as planning jobs; the
+	// slice is reused across epochs (installed reservations keep the jobs
+	// themselves, not the slice) and starts on predBuf, which fits the
+	// paper's single-step forecast without a separate allocation.
+	predJobs []*sched.Job
+	predBuf  [1]*sched.Job
 	// running tracks, per resource, the job currently mid-execution there.
 	// It exists only to emit job_start/job_preempt/job_finish lifecycle
 	// events and is nil when tracing is disabled.
@@ -369,6 +376,7 @@ func New(cfg Config) (*Engine, error) {
 		trc: cfg.Tracer,
 		ins: newInstruments(cfg.Metrics),
 	}
+	r.predJobs = r.predBuf[:0]
 	if r.trc != nil {
 		r.running = make([]*sched.Job, cfg.Platform.Len())
 		r.critEnergy = make(map[*sched.Job]float64)
@@ -408,231 +416,6 @@ func (r *Engine) Requests() int { return len(r.rec) }
 // are a no-op, so a wall-clock driver may call it freely.
 func (r *Engine) AdvanceTo(t float64) error {
 	return r.advanceTo(t)
-}
-
-// Activate runs one full RM activation for request req with driver-issued
-// id idx: advance to the arrival, charge decision overhead, assemble the
-// S̄ problem, run the admission protocol, apply the mapping and rebuild
-// the standing plan. Ids must be issued densely from 0 in activation
-// order (they index the per-request records).
-func (r *Engine) Activate(idx int, req trace.Request) (Outcome, error) {
-	if idx != len(r.rec) {
-		return Outcome{}, fmt.Errorf("engine: activation id %d out of order (want %d)", idx, len(r.rec))
-	}
-	if r.cfg.TaskSet != nil && (req.Type < 0 || req.Type >= r.cfg.TaskSet.Len()) {
-		return Outcome{}, fmt.Errorf("engine: request %d references unknown type %d", idx, req.Type)
-	}
-	if req.Deadline <= 0 {
-		return Outcome{}, fmt.Errorf("engine: request %d has non-positive deadline %v", idx, req.Deadline)
-	}
-	r.rec = append(r.rec, JobRecord{
-		ID:          idx,
-		Type:        req.Type,
-		Arrival:     req.Arrival,
-		AbsDeadline: req.Arrival + req.Deadline,
-	})
-	r.res.Requests++
-	r.ins.requests.Inc()
-	if err := r.advanceTo(req.Arrival); err != nil {
-		return Outcome{}, err
-	}
-	// Emitted after advancing so the stream stays time-ordered: the
-	// execution events between two arrivals carry earlier timestamps.
-	if r.trc != nil {
-		e := telemetry.NewEvent(req.Arrival, telemetry.EvArrival)
-		e.Req = idx
-		e.Task = req.Type
-		e.Value = req.Arrival + req.Deadline
-		r.trc.Emit(e)
-	}
-
-	overhead := r.cfg.ExtraOverhead
-	if r.cfg.Predictor != nil {
-		overhead += r.cfg.Predictor.Overhead()
-	}
-	if r.cfg.OverheadHook != nil {
-		overhead += r.cfg.OverheadHook(idx, req.Arrival)
-	}
-	decisionTime := math.Max(r.now, req.Arrival+overhead)
-	if err := r.advanceTo(decisionTime); err != nil {
-		return Outcome{}, err
-	}
-
-	if r.cfg.Audit {
-		if err := r.auditState(idx); err != nil {
-			return Outcome{}, err
-		}
-	}
-
-	newJob := sched.NewJob(idx, r.cfg.TaskSet.Type(req.Type), req.Arrival, req.Deadline)
-	jobs := make([]*sched.Job, 0, len(r.active)+2)
-	jobs = append(jobs, r.active...)
-	newIdx := len(jobs)
-	jobs = append(jobs, newJob)
-	jobs = append(jobs, r.upcomingCritical(jobs)...)
-
-	predicting := false
-	if r.cfg.Predictor != nil {
-		r.cfg.Predictor.Observe(idx, req)
-		var preds []predict.Prediction
-		if mp, ok := r.cfg.Predictor.(predict.MultiPredictor); ok && r.cfg.Lookahead > 1 {
-			preds = mp.PredictK(r.cfg.Lookahead)
-		} else if pred, ok := r.cfg.Predictor.Predict(); ok {
-			preds = []predict.Prediction{pred}
-		}
-		for step, pred := range preds {
-			if pred.Type >= 0 && pred.Type < r.cfg.TaskSet.Len() && pred.Deadline > 0 {
-				pj := sched.NewJob(-1-step, r.cfg.TaskSet.Type(pred.Type), pred.Arrival, pred.Deadline)
-				pj.Predicted = true
-				jobs = append(jobs, pj)
-				predicting = true
-				r.ins.predictions.Inc()
-				if r.trc != nil {
-					e := telemetry.NewEvent(r.now, telemetry.EvPrediction)
-					e.Req = idx
-					e.Task = pred.Type
-					e.Value = pred.Arrival
-					r.trc.Emit(e)
-				}
-			}
-		}
-	}
-
-	problem := &sched.Problem{
-		Platform: r.cfg.Platform,
-		Time:     r.now,
-		Jobs:     jobs,
-		Policy:   r.cfg.Policy,
-	}
-	if r.trc != nil {
-		e := telemetry.NewEvent(r.now, telemetry.EvSolverInvoked)
-		e.Req = idx
-		e.Task = req.Type
-		e.Value = float64(len(jobs))
-		r.trc.Emit(e)
-	}
-	measuring := r.trc != nil || r.ins.solverSec != nil
-	var solveStart time.Time
-	if measuring {
-		solveStart = time.Now()
-	}
-	r.prov.Reset()
-	decision, admitted, solveErr := core.AdmitProv(r.cfg.Solver, problem, r.prov)
-	var wall time.Duration
-	if measuring {
-		wall = time.Since(solveStart)
-		r.ins.solverSec.Observe(wall.Seconds())
-	}
-	if solveErr != nil {
-		// A fallible solver failed outright (core.FallibleSolver) with no
-		// resilience chain to absorb it. Report the failure with its
-		// request coordinates and abort the run — continuing would
-		// silently convert a solver outage into rejections.
-		if r.trc != nil {
-			e := telemetry.NewEvent(r.now, telemetry.EvSolverReturned)
-			e.Req = idx
-			e.WallNs = wall.Nanoseconds()
-			e.Reason = telemetry.ReasonError
-			r.trc.Emit(e)
-		}
-		return Outcome{}, fmt.Errorf("engine: solver failed at request %d (t=%.6f): %w", idx, r.now, solveErr)
-	}
-	if r.trc != nil {
-		e := telemetry.NewEvent(r.now, telemetry.EvSolverReturned)
-		e.Req = idx
-		e.WallNs = wall.Nanoseconds()
-		if admitted {
-			e.Reason = telemetry.ReasonFeasible
-			e.Value = decision.Energy
-		} else {
-			e.Reason = telemetry.ReasonInfeasible
-		}
-		r.trc.Emit(e)
-	}
-	if !admitted {
-		r.res.Rejected++
-		r.ins.rejected.Inc()
-		r.reasonCounter("sim.reject_reason.", telemetry.ReasonNoFeasibleMapping)
-		if r.trc != nil {
-			e := telemetry.NewEvent(r.now, telemetry.EvReject)
-			e.Req = idx
-			e.Task = req.Type
-			e.Reason = telemetry.ReasonNoFeasibleMapping
-			r.trc.Emit(e)
-		}
-		r.emitDecision(idx, req.Type, sched.Unmapped, telemetry.ReasonNoFeasibleMapping, 0)
-		// Drop any stale reservation (its request has now arrived) but
-		// keep the standing mappings.
-		if err := r.replan(nil); err != nil {
-			return Outcome{}, err
-		}
-		r.probe(idx)
-		return Outcome{
-			Req:      idx,
-			Time:     r.now,
-			Accepted: false,
-			Resource: sched.Unmapped,
-			Reason:   telemetry.ReasonNoFeasibleMapping,
-		}, nil
-	}
-	r.res.Accepted++
-	r.ins.accepted.Inc()
-	r.rec[idx].Accepted = true
-	r.apply(problem, decision, newJob)
-	var ghosts []ghostRef
-	for i, j := range problem.Jobs {
-		if j.Predicted && decision.Mapping[i] != sched.Unmapped {
-			ghosts = append(ghosts, ghostRef{job: j, res: decision.Mapping[i]})
-		}
-	}
-	admitReason := telemetry.ReasonPlain
-	switch {
-	case len(ghosts) > 0:
-		admitReason = telemetry.ReasonWithReservation
-	case predicting:
-		admitReason = telemetry.ReasonPredictionDropped
-	}
-	r.reasonCounter("sim.admit_reason.", admitReason)
-	if r.trc != nil {
-		e := telemetry.NewEvent(r.now, telemetry.EvAdmit)
-		e.Req = idx
-		e.Task = req.Type
-		e.Res = decision.Mapping[newIdx]
-		e.Reason = admitReason
-		r.trc.Emit(e)
-	}
-	r.emitDecision(idx, req.Type, decision.Mapping[newIdx], admitReason, decision.Energy)
-	for _, g := range ghosts {
-		r.ins.resvPlanned.Inc()
-		if r.cfg.WorkConserving {
-			r.ins.resvBackfilled.Inc()
-		}
-		if r.trc != nil {
-			e := telemetry.NewEvent(r.now, telemetry.EvReservationPlanned)
-			e.Req = idx
-			e.Res = g.res
-			e.Value = g.job.Arrival
-			r.trc.Emit(e)
-			if r.cfg.WorkConserving {
-				e.Type = telemetry.EvReservationBackfilled
-				r.trc.Emit(e)
-			}
-		}
-	}
-	r.ins.activeJobs.Observe(float64(len(r.active)))
-	r.ins.activePeak.Set(float64(len(r.active)))
-	if err := r.replan(ghosts); err != nil {
-		return Outcome{}, err
-	}
-	r.probe(idx)
-	return Outcome{
-		Req:      idx,
-		Time:     r.now,
-		Accepted: true,
-		Resource: decision.Mapping[newIdx],
-		Reason:   admitReason,
-		Energy:   decision.Energy,
-	}, nil
 }
 
 // Drain runs the remaining work out in engine time: critical releases are

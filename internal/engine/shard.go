@@ -12,10 +12,9 @@
 // mapped to the best resource of its shard, not of the whole platform —
 // DESIGN.md §12 develops the argument and the determinism guarantees.
 //
-// With one shard the engine is the engine: NewSharded wires the single
-// sub-engine with the caller's Config untouched and every method
-// delegates, so a 1-shard Sharded is byte-identical to a bare Engine —
-// the differential tests pin this.
+// With one shard the engine is the engine: NewSharded returns the bare
+// *Engine built from the caller's Config untouched, so a one-shard run is
+// a plain Engine run by construction — the differential tests pin this.
 package engine
 
 import (
@@ -23,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"predrm/internal/core"
@@ -33,8 +33,8 @@ import (
 
 // ShardConfig parameterises the scale-out engine.
 type ShardConfig struct {
-	// Shards is the number of partitions (≥ 1). One shard delegates to a
-	// single Engine unchanged.
+	// Shards is the number of partitions; 0 and 1 both mean one shard,
+	// which is a single Engine unchanged.
 	Shards int
 	// BatchWindow is the epoch length drivers should collect arrivals
 	// over before calling ActivateEpoch; 0 means one-by-one admission.
@@ -64,7 +64,6 @@ type shardState struct {
 // inside ActivateEpoch stays behind the call.
 type Sharded struct {
 	cfg     Config
-	sc      ShardConfig
 	shards  []shardState
 	loads   *sched.LoadIndex
 	elig    [][]bool // [typeID][shard]
@@ -72,22 +71,22 @@ type Sharded struct {
 	// routes maps global request id -> shard index (the local id is the
 	// position in that shard's locals).
 	routes []int
-	single *Engine // set when Shards == 1: full delegation
 	res    *Result // merged result, built once by Finalize
 }
 
 // NewSharded partitions cfg.Platform into sc.Shards shards and builds
-// one engine per shard. With one shard the caller's Config is used
-// unchanged (full delegation). With more, the features whose state is
-// inherently global — tracing, provenance, critical workloads,
+// one engine per shard. With one shard it returns the bare *Engine built
+// from the caller's Config unchanged (a nil cfg.Solver is built by
+// sc.NewSolver). With more it returns a *Sharded, and the features whose
+// state is inherently global — tracing, provenance, critical workloads,
 // prediction, the overhead hook — are rejected rather than silently
 // given per-shard semantics; Metrics and StateProbe are supported
 // globally (a shared registry, and globally merged samples).
-func NewSharded(cfg Config, sc ShardConfig) (*Sharded, error) {
-	if sc.Shards <= 0 {
+func NewSharded(cfg Config, sc ShardConfig) (Driver, error) {
+	if sc.Shards < 0 {
 		return nil, errors.New("engine: sharded needs at least one shard")
 	}
-	if sc.Shards == 1 {
+	if sc.Shards <= 1 {
 		if cfg.Solver == nil && sc.NewSolver != nil {
 			cfg.Solver = sc.NewSolver()
 		}
@@ -95,7 +94,7 @@ func NewSharded(cfg Config, sc ShardConfig) (*Sharded, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Sharded{cfg: cfg, sc: sc, single: eng}, nil
+		return eng, nil
 	}
 	switch {
 	case sc.NewSolver == nil:
@@ -121,7 +120,6 @@ func NewSharded(cfg Config, sc ShardConfig) (*Sharded, error) {
 	globalProbe := cfg.StateProbe
 	s := &Sharded{
 		cfg:    cfg,
-		sc:     sc,
 		shards: make([]shardState, 0, len(parts)),
 		loads:  sched.NewLoadIndex(len(parts)),
 	}
@@ -177,55 +175,43 @@ func (s *Sharded) syncLoads() {
 	}
 }
 
-// route picks the shard for a request: the least-loaded shard whose
-// projected task set can execute the type, walking the load index in its
-// deterministic ascending (load, id) order. The returned shard index is
-// a pure function of the engine state, so replaying a trace reproduces
-// the routing exactly.
-func (s *Sharded) route(typeID int) (int, error) {
-	if typeID < 0 || typeID >= len(s.elig) {
-		return 0, fmt.Errorf("engine: route: unknown type %d", typeID)
-	}
+// route picks the shard for a request of a type checkBatch accepted: the
+// least-loaded shard whose projected task set can execute the type,
+// walking the load index in its deterministic ascending (load, id) order.
+// The returned shard index is a pure function of the engine state, so
+// replaying a trace reproduces the routing exactly.
+func (s *Sharded) route(typeID int) int {
 	row := s.elig[typeID]
 	for k := 0; k < s.loads.Len(); k++ {
 		if si := s.loads.At(k); row[si] {
-			return si, nil
+			return si
 		}
 	}
-	return 0, fmt.Errorf("engine: no shard can execute type %d", typeID)
+	panic(fmt.Sprintf("engine: no shard can execute type %d", typeID))
 }
 
-// Activate routes one request to a shard and runs its admission there.
-func (s *Sharded) Activate(idx int, req trace.Request) (Outcome, error) {
-	if s.single != nil {
-		return s.single.Activate(idx, req)
+// checkBatch validates a batch in global ids before any shard advances or
+// routing state changes: the engine's own checks plus routability.
+func (s *Sharded) checkBatch(startIdx int, reqs []trace.Request) error {
+	if err := checkBatch(startIdx, len(s.routes), reqs, len(s.elig)); err != nil {
+		return err
 	}
-	if idx != len(s.routes) {
-		return Outcome{}, fmt.Errorf("engine: activation id %d out of order (want %d)", idx, len(s.routes))
-	}
-	// Advance every shard to the arrival first: completions free capacity
-	// (and shrink loads) platform-wide before the routing decision.
-	for si := range s.shards {
-		if err := s.shards[si].eng.AdvanceTo(req.Arrival); err != nil {
-			return Outcome{}, err
+	for i, req := range reqs {
+		if !slices.Contains(s.elig[req.Type], true) {
+			return fmt.Errorf("engine: request %d: no shard can execute type %d", startIdx+i, req.Type)
 		}
 	}
-	s.syncLoads()
-	si, err := s.route(req.Type)
+	return nil
+}
+
+// Activate routes one request to a shard and runs its admission there:
+// the singleton epoch closing at the request's own arrival.
+func (s *Sharded) Activate(idx int, req trace.Request) (Outcome, error) {
+	outs, err := s.ActivateEpoch(idx, []trace.Request{req}, req.Arrival)
 	if err != nil {
 		return Outcome{}, err
 	}
-	sh := &s.shards[si]
-	local := sh.eng.Requests()
-	out, err := sh.eng.Activate(local, req)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("shard %d: %w", si, err)
-	}
-	s.routes = append(s.routes, si)
-	sh.locals = append(sh.locals, idx)
-	s.globalize(&out, si, idx)
-	s.probeGlobal(idx)
-	return out, nil
+	return outs[0], nil
 }
 
 // ActivateEpoch routes a batch of arrivals across the shards and runs
@@ -234,14 +220,11 @@ func (s *Sharded) Activate(idx int, req trace.Request) (Outcome, error) {
 // plans — so concurrent solving is deterministic; outcomes are returned
 // in global request order.
 func (s *Sharded) ActivateEpoch(startIdx int, reqs []trace.Request, close float64) ([]Outcome, error) {
-	if s.single != nil {
-		return s.single.ActivateEpoch(startIdx, reqs, close)
-	}
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	if startIdx != len(s.routes) {
-		return nil, fmt.Errorf("engine: epoch activation id %d out of order (want %d)", startIdx, len(s.routes))
+	if err := s.checkBatch(startIdx, reqs); err != nil {
+		return nil, err
 	}
 	// Advance everyone to the first arrival, then route the whole batch.
 	// Routing adds a tentative +1 load per assignment so a burst spreads
@@ -255,10 +238,7 @@ func (s *Sharded) ActivateEpoch(startIdx int, reqs []trace.Request, close float6
 	s.syncLoads()
 	groups := make([][]trace.Request, len(s.shards))
 	for i, req := range reqs {
-		si, err := s.route(req.Type)
-		if err != nil {
-			return nil, err
-		}
+		si := s.route(req.Type)
 		groups[si] = append(groups[si], req)
 		s.routes = append(s.routes, si)
 		s.shards[si].locals = append(s.shards[si].locals, startIdx+i)
@@ -367,9 +347,6 @@ func (s *Sharded) probeGlobal(req int) {
 
 // AdvanceTo advances every shard (monotone, like Engine.AdvanceTo).
 func (s *Sharded) AdvanceTo(t float64) error {
-	if s.single != nil {
-		return s.single.AdvanceTo(t)
-	}
 	for si := range s.shards {
 		if err := s.shards[si].eng.AdvanceTo(t); err != nil {
 			return err
@@ -380,9 +357,6 @@ func (s *Sharded) AdvanceTo(t float64) error {
 
 // NextWake is the earliest wake time over the shards.
 func (s *Sharded) NextWake() (float64, bool) {
-	if s.single != nil {
-		return s.single.NextWake()
-	}
 	best, found := math.Inf(1), false
 	for si := range s.shards {
 		if t, ok := s.shards[si].eng.NextWake(); ok && t < best {
@@ -397,9 +371,6 @@ func (s *Sharded) NextWake() (float64, bool) {
 
 // Drain runs every shard's remaining work out.
 func (s *Sharded) Drain() error {
-	if s.single != nil {
-		return s.single.Drain()
-	}
 	for si := range s.shards {
 		if err := s.shards[si].eng.Drain(); err != nil {
 			return err
@@ -410,9 +381,6 @@ func (s *Sharded) Drain() error {
 
 // Now is the most advanced shard clock.
 func (s *Sharded) Now() float64 {
-	if s.single != nil {
-		return s.single.Now()
-	}
 	now := 0.0
 	for si := range s.shards {
 		if t := s.shards[si].eng.Now(); t > now {
@@ -424,9 +392,6 @@ func (s *Sharded) Now() float64 {
 
 // InFlight sums the shards' active jobs.
 func (s *Sharded) InFlight() int {
-	if s.single != nil {
-		return s.single.InFlight()
-	}
 	n := 0
 	for si := range s.shards {
 		n += s.shards[si].eng.InFlight()
@@ -436,17 +401,11 @@ func (s *Sharded) InFlight() int {
 
 // Requests counts activations routed so far.
 func (s *Sharded) Requests() int {
-	if s.single != nil {
-		return s.single.Requests()
-	}
 	return len(s.routes)
 }
 
 // HasAdaptiveWork reports whether any shard still has active jobs.
 func (s *Sharded) HasAdaptiveWork() bool {
-	if s.single != nil {
-		return s.single.HasAdaptiveWork()
-	}
 	for si := range s.shards {
 		if s.shards[si].eng.HasAdaptiveWork() {
 			return true
@@ -461,9 +420,6 @@ func (s *Sharded) HasAdaptiveWork() bool {
 // ids, and the telemetry snapshot is taken once from the shared
 // registry. Idempotent, like Engine.Finalize.
 func (s *Sharded) Finalize() *Result {
-	if s.single != nil {
-		return s.single.Finalize()
-	}
 	if s.res != nil {
 		return s.res
 	}

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"predrm/internal/core"
 	"predrm/internal/platform"
+	"predrm/internal/predict"
 	"predrm/internal/rng"
+	"predrm/internal/sched"
 	"predrm/internal/task"
 	"predrm/internal/trace"
 )
@@ -34,14 +37,14 @@ func shardFixture(t *testing.T, spec string, shards, length int, meanIA float64,
 		t.Fatal(err)
 	}
 	return tr, func() *Sharded {
-		s, err := NewSharded(Config{Platform: plat, TaskSet: set}, ShardConfig{
+		d, err := NewSharded(Config{Platform: plat, TaskSet: set}, ShardConfig{
 			Shards:    shards,
 			NewSolver: func() core.Solver { return &core.Heuristic{} },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return d.(*Sharded)
 	}
 }
 
@@ -274,5 +277,95 @@ func TestBatchEpochDecidesAtClose(t *testing.T) {
 	}
 	if res.DeadlineMisses != 0 {
 		t.Fatalf("%d accepted jobs missed deadlines", res.DeadlineMisses)
+	}
+}
+
+// TestBatchEpochLastSampleReportsInstalledReservations: the last state
+// sample of a multi-request epoch is taken after the epoch's replan, so
+// its reservation counts are the ones the epoch installed — the picture a
+// live plane shows until the next activation — not the ones it replaced.
+func TestBatchEpochLastSampleReportsInstalledReservations(t *testing.T) {
+	set, err := task.Generate(platform.Default(), task.DefaultGenConfig(), rng.New(95))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := trace.DefaultGenConfig(trace.VeryTight)
+	gc.Length = 300
+	tr, err := trace.Generate(set, gc, rng.New(96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := predict.NewOracle(tr, predict.OracleConfig{TypeAccuracy: 1, NumTypes: set.Len(), Seed: 97})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last StateSample
+	e, err := New(Config{
+		Platform:   platform.Default(),
+		TaskSet:    set,
+		Solver:     &core.Heuristic{},
+		Predictor:  oracle,
+		StateProbe: func(s StateSample) { last = s },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window = 3.0
+	reqs := tr.Requests
+	multi, reserved := 0, 0
+	for i := 0; i < len(reqs); {
+		j := i + 1
+		for j < len(reqs) && reqs[j].Arrival <= reqs[i].Arrival+window+sched.Eps {
+			j++
+		}
+		close := math.Max(reqs[i].Arrival+window, reqs[j-1].Arrival)
+		if _, err := e.ActivateEpoch(i, reqs[i:j], close); err != nil {
+			t.Fatal(err)
+		}
+		if j-i > 1 {
+			multi++
+			want := make([]int, platform.Default().Len())
+			for _, g := range e.pendingResv {
+				want[g.res]++
+			}
+			reserved += len(e.pendingResv)
+			if last.Req != j-1 {
+				t.Fatalf("epoch [%d,%d): last sample is for request %d", i, j, last.Req)
+			}
+			for res, rs := range last.Resources {
+				if rs.Reserved != want[res] {
+					t.Fatalf("epoch [%d,%d): last sample reports %d reservations on resource %d, installed plan has %d",
+						i, j, rs.Reserved, res, want[res])
+				}
+			}
+		}
+		i = j
+	}
+	if multi == 0 || reserved == 0 {
+		t.Fatalf("vacuous: %d multi-request epochs, %d installed reservations", multi, reserved)
+	}
+}
+
+// TestShardedEpochValidatesBeforeRouting: a batch with a bad request
+// fails whole, naming the request by its global id, and leaves the
+// routing state untouched so the driver can retry from the same id.
+func TestShardedEpochValidatesBeforeRouting(t *testing.T) {
+	tr, build := shardFixture(t, "16c2g", 2, 4, 1.0, 61)
+	s := build()
+	bad := append([]trace.Request(nil), tr.Requests[:2]...)
+	bad[1].Deadline = 0
+	_, err := s.ActivateEpoch(0, bad, bad[1].Arrival)
+	if err == nil || !strings.Contains(err.Error(), "request 1 has non-positive deadline") {
+		t.Fatalf("bad batch: got error %v", err)
+	}
+	if s.Requests() != 0 || s.Now() != 0 {
+		t.Fatalf("failed batch changed state: %d requests routed, clock %v", s.Requests(), s.Now())
+	}
+	outs, err := s.ActivateEpoch(0, tr.Requests[:2], tr.Requests[1].Arrival)
+	if err != nil {
+		t.Fatalf("retry after a rejected batch: %v", err)
+	}
+	if len(outs) != 2 || s.Requests() != 2 {
+		t.Fatalf("retry: %d outcomes, %d requests routed", len(outs), s.Requests())
 	}
 }

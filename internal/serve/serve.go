@@ -66,8 +66,8 @@ type Config struct {
 	// scale-out engine instead of a bare Engine: arrivals are routed to
 	// platform shards by load and type affinity (DESIGN.md §12). The
 	// sharded engine's feature restrictions apply (no tracer, provenance,
-	// predictor, critical tasks or overhead hook). Shards <= 1 keeps the
-	// single-engine path.
+	// predictor, critical tasks or overhead hook). Shards 0 or 1 runs a
+	// bare Engine (engine.NewSharded returns one).
 	Shard engine.ShardConfig
 	// Clock drives the server; nil means a WallClock at speed 1 started
 	// when New is called. A *ManualClock switches the server to step mode:
@@ -129,13 +129,7 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 	}
-	var eng engine.Driver
-	var err error
-	if cfg.Shard.Shards > 1 {
-		eng, err = engine.NewSharded(cfg.Engine, cfg.Shard)
-	} else {
-		eng, err = engine.New(cfg.Engine)
-	}
+	eng, err := engine.NewSharded(cfg.Engine, cfg.Shard)
 	if err != nil {
 		return nil, err
 	}

@@ -14,16 +14,16 @@ type ShardConfig = engine.ShardConfig
 // paper's one-by-one admission) and each epoch is admitted through
 // engine.Sharded — routed across the shards and solved per shard.
 //
-// With one shard and a zero window this is byte-identical to Run: the
-// sharded engine delegates to a bare Engine and a single-request epoch
-// closing at its own arrival delegates to Activate. The shardcheck gate
-// pins both equivalences.
+// With one shard the driven engine is a bare Engine, and a zero window
+// admits every request as the singleton epoch closing at its own arrival
+// (Activate) — the paper's one-by-one protocol, which is all Run is. The
+// shardcheck gate pins both equivalences.
 func RunSharded(cfg Config, sc ShardConfig, tr *trace.Trace) (*Result, error) {
-	if err := tr.Validate(cfg.TaskSet); err != nil {
-		return nil, err
-	}
 	eng, err := engine.NewSharded(cfg, sc)
 	if err != nil {
+		return nil, err
+	}
+	if err := tr.Validate(cfg.TaskSet); err != nil {
 		return nil, err
 	}
 	reqs := tr.Requests

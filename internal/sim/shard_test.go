@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"regexp"
 	"testing"
 
@@ -244,5 +246,55 @@ func TestShardedRejectsGlobalFeatures(t *testing.T) {
 	cfg = Config{Platform: plat, TaskSet: set}
 	if _, err := RunSharded(cfg, ShardConfig{Shards: 4}, tr); err == nil {
 		t.Fatal("missing NewSolver accepted on a multi-shard engine")
+	}
+}
+
+// TestBatchEpochGoldenFullFeature pins multi-request batch epochs with
+// every single-engine feature on: the golden-trace fixture (oracle
+// predictor, budgeted solver chain, provenance, tracer) driven through
+// one shard with a two-unit batch window. The Result JSON and the JSONL
+// telemetry stream (measured wall_ns stripped) must match the committed
+// golden files byte for byte. Regenerate with:
+// go test ./internal/sim -run BatchEpochGolden -update-golden
+func TestBatchEpochGoldenFullFeature(t *testing.T) {
+	var sink bytes.Buffer
+	cfg, tr := telemetryFixture(t)
+	cfg.Tracer = telemetry.NewTracer(telemetry.TracerOptions{Sink: &sink})
+	res, err := RunSharded(cfg, ShardConfig{Shards: 1, BatchWindow: 2}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if res.DeadlineMisses != 0 {
+		t.Fatalf("%d accepted jobs missed deadlines", res.DeadlineMisses)
+	}
+	resJSON, err := json.MarshalIndent(res, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := regexp.MustCompile(`,"wall_ns":\d+`).ReplaceAll(sink.Bytes(), nil)
+	for _, g := range []struct {
+		name string
+		got  []byte
+	}{
+		{"batch_epoch.golden.json", append(resJSON, '\n')},
+		{"batch_epoch.golden.jsonl", events},
+	} {
+		path := filepath.Join("testdata", g.name)
+		if *updateGolden {
+			if err := os.WriteFile(path, g.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Fatalf("%s diverged (rerun with -update-golden if intended): got %d bytes, want %d",
+				path, len(g.got), len(want))
+		}
 	}
 }

@@ -3,8 +3,9 @@
 // paper's evaluation (Sec 5).
 //
 // Since the activation engine moved to internal/engine, sim is a
-// virtual-clock driver of it: Run walks the trace and hands each request
-// to engine.Activate, which advances engine time to the arrival, charges
+// virtual-clock driver of it: RunSharded walks the trace and hands each
+// request (or each batch epoch of them) to the engine, which advances
+// engine time to the arrival, charges
 // the prediction/decision overhead (Sec 5.5), builds the S̄ problem
 // (active jobs + arriving job + optional predicted job), runs the
 // admission protocol, applies the resulting mapping (charging
@@ -14,8 +15,8 @@
 // it byte for byte.
 //
 // The Config/Result/StateSample types are aliases of the engine's — the
-// simulator adds no state of its own — so existing callers (experiments,
-// obs, gantt, the public predrm wrappers) keep compiling unchanged.
+// simulator adds no state of its own — kept for the callers that name
+// them (experiments, the public predrm wrappers).
 package sim
 
 import (
@@ -42,29 +43,9 @@ type JobRecord = engine.JobRecord
 // Result aggregates one trace's simulation.
 type Result = engine.Result
 
-// Run simulates tr under cfg and returns per-trace results. The trace must
-// be valid against cfg.TaskSet.
+// Run simulates tr under cfg and returns per-trace results: the
+// one-shard, one-by-one case of RunSharded. The trace must be valid
+// against cfg.TaskSet.
 func Run(cfg Config, tr *trace.Trace) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := tr.Validate(cfg.TaskSet); err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for idx, req := range tr.Requests {
-		if _, err := eng.Activate(idx, req); err != nil {
-			return nil, err
-		}
-	}
-	// Drain: run until all adaptive work finishes, serving critical
-	// releases along the way, then let already-released critical jobs run
-	// out.
-	if err := eng.Drain(); err != nil {
-		return nil, err
-	}
-	return eng.Finalize(), nil
+	return RunSharded(cfg, ShardConfig{Shards: 1}, tr)
 }
