@@ -4,8 +4,8 @@ GOFMT ?= gofmt
 .PHONY: check build test vet fmtcheck race bench benchcheck tracecheck faultcheck obscheck explaincheck warmcheck servecheck shardcheck
 
 # check is the repo gate: vet, formatting, build everything, run the full
-# test suite under the race detector (the telemetry layer and the parallel
-# exact solver are concurrency-safe by contract — internal/exact's
+# test suite under the race detector (the telemetry layer and the
+# feasibility cache are concurrency-safe by contract — internal/exact's
 # differential and budget-exhaustion tests ride under race here), audit
 # the golden trace with the replay checker, gate the hot-path benchmarks
 # against the committed baseline (skip: BENCHCHECK=0), smoke the
@@ -110,7 +110,7 @@ explaincheck:
 
 # warmcheck proves warm-start solving is a speed knob, not a behaviour
 # knob, under the race detector: the exact solver's warm-vs-cold
-# differential (serial, parallel, and crossed modes), the repair engine's
+# differential, the repair engine's
 # feasibility property, the fingerprint-churn property behind the
 # cross-activation cache, and the end-to-end grid/trace identity checks.
 # CI runs this leg under GOMAXPROCS={1,4}; it honours whatever the
@@ -120,7 +120,7 @@ warmcheck:
 	@if [ "$(WARMCHECK)" = "0" ]; then \
 		echo "warmcheck: skipped (WARMCHECK=0)"; \
 	else \
-		$(GO) test -race -run 'WarmStart|WarmState|Repair|FingerprintChurn|ParallelMatchesSerial' \
+		$(GO) test -race -run 'WarmStart|WarmState|Repair|FingerprintChurn' \
 			./internal/sched/ ./internal/core/ ./internal/exact/ ./internal/experiments/; \
 	fi
 

@@ -39,10 +39,7 @@ import (
 // defaultHot selects the decision hot-path benchmarks: the solver entry
 // points, the per-activation feasibility probes, and the end-to-end
 // simulation run. Sub-benchmarks (Name/case) are matched by the ($|/).
-// Only the workers=1 case of the parallel solver is gated: multi-worker
-// timings depend on goroutine scheduling and swing well past the noise
-// threshold on small or contended machines, so gating them just flakes.
-const defaultHot = `^(HeuristicSolve|HeuristicRepair|OptimalSolve|OptimalSolveParallel/workers=1|OptimalWarmStart|Run|ResourceFeasible|SimulateEDF|FeasibleSorted)($|/)`
+const defaultHot = `^(HeuristicSolve|HeuristicRepair|OptimalSolve|OptimalWarmStart|Run|ResourceFeasible|SimulateEDF|FeasibleSorted)($|/)`
 
 // Benchmark is one parsed result line.
 type Benchmark struct {

@@ -93,22 +93,23 @@ func TestCompareGate(t *testing.T) {
 
 	t.Run("new-hot-benchmark-passes", func(t *testing.T) {
 		// A hot benchmark absent from the baseline — e.g. a freshly added
-		// OptimalSolveParallel case — must be reported as new, not gated,
+		// OptimalWarmStart case — must be reported as new, not gated,
 		// even when it would trivially "regress" against nothing.
-		cur := []Benchmark{{Pkg: "p", Name: "OptimalSolveParallel/workers=1", NsPerOp: 1e9, AllocsPerOp: i64(99)}}
+		cur := []Benchmark{{Pkg: "p", Name: "OptimalWarmStart/warm", NsPerOp: 1e9, AllocsPerOp: i64(99)}}
 		regs, compared, fresh, _ := compare(base, cur, hot, 0.15)
 		if len(regs) != 0 || compared != 0 {
 			t.Fatalf("regs=%v compared=%d", regs, compared)
 		}
-		if len(fresh) != 1 || fresh[0] != "p.OptimalSolveParallel/workers=1" {
+		if len(fresh) != 1 || fresh[0] != "p.OptimalWarmStart/warm" {
 			t.Fatalf("fresh=%v", fresh)
 		}
 	})
 
 	t.Run("multi-worker-parallel-not-gated", func(t *testing.T) {
-		// Multi-worker timings are goroutine-scheduling noise on small
-		// machines; only workers=1 is in the hot set.
-		cur := []Benchmark{{Pkg: "p", Name: "OptimalSolveParallel/workers=4", NsPerOp: 1e9, AllocsPerOp: i64(99)}}
+		// Multi-worker timings (concurrent shard solves) are
+		// goroutine-scheduling noise on small machines; they stay out of
+		// the hot set.
+		cur := []Benchmark{{Pkg: "p", Name: "ShardedRun/64c8g-x8", NsPerOp: 1e9, AllocsPerOp: i64(99)}}
 		regs, compared, fresh, _ := compare(base, cur, hot, 0.15)
 		if len(regs) != 0 || compared != 0 || len(fresh) != 0 {
 			t.Fatalf("regs=%v compared=%d fresh=%v", regs, compared, fresh)

@@ -60,7 +60,6 @@ func main() {
 		tracePath = flag.String("trace", "", "trace JSON file (empty: generate)")
 		setPath   = flag.String("taskset", "", "task-set JSON file written by tracegen (empty: generate from -seed)")
 		engine    = flag.String("engine", "heuristic", "mapping engine: heuristic, greedy, or milp")
-		exactWork = flag.Int("exact-workers", 0, "search goroutines for -engine milp (0 or 1: serial; results are identical either way)")
 		warmStart = flag.Bool("warmstart", true, "reuse the previous activation's work: the milp engine repairs its last mapping into a pruning bound, the heuristic engines cache EDF probe verdicts across activations; decisions are identical either way")
 		platSpec  = flag.String("platform", "", "platform spec like 5c1g or 64c8g (empty: the paper's 5c1g default; invalid with -taskset, which carries its platform)")
 		shards    = flag.Int("shards", 1, "partition the platform into this many shards, each admitting against only its own resources (scale-out mode)")
@@ -92,12 +91,6 @@ func main() {
 	)
 	flag.Parse()
 	validateFlags(*usePred, *accuracy, *timeErr, *overhead, *length, *types, *meanIA, *showGantt, *group)
-	if *exactWork < 0 {
-		fatalf("-exact-workers %d must be non-negative", *exactWork)
-	}
-	if *engine != "milp" && flagWasSet("exact-workers") {
-		fatalf("-exact-workers has no effect with -engine %s", *engine)
-	}
 	if *opsAddr == "" && flagWasSet("ops-linger") {
 		fatalf("-ops-linger has no effect without -ops-addr")
 	}
@@ -205,7 +198,7 @@ func main() {
 		case "greedy":
 			s = &core.Heuristic{Greedy: true, Cache: warmCache}
 		case "milp":
-			s = &exact.Optimal{Workers: *exactWork, WarmStart: *warmStart}
+			s = &exact.Optimal{WarmStart: *warmStart}
 		default:
 			fatalf("unknown engine %q", *engine)
 		}

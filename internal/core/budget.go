@@ -22,13 +22,9 @@ import (
 )
 
 // Budget bounds one solver activation. The zero value means unlimited.
-// For a solver that parallelises internally the bound covers the whole
-// activation, not each goroutine: exact.Optimal's workers drain one shared
-// node counter, so a parallel solve stops within a small batching slack of
-// the same Nodes cap a serial solve gets.
 type Budget struct {
-	// Nodes caps the search nodes a BudgetAware solver may expand,
-	// aggregated across all internal workers of one Solve.
+	// Nodes caps the search nodes a BudgetAware solver may expand in one
+	// Solve.
 	Nodes int
 	// Wall caps the wall-clock time of one Solve. Wall budgets make
 	// decisions timing-dependent and therefore nondeterministic across
@@ -41,11 +37,11 @@ func (b Budget) IsZero() bool { return b.Nodes <= 0 && b.Wall <= 0 }
 
 // BudgetUse reports what a budgeted solve consumed.
 type BudgetUse struct {
-	// Nodes is the number of search nodes expanded, summed over the
-	// solver's internal workers for a parallel solve.
+	// Nodes is the number of search nodes expanded.
 	Nodes int
-	// Exhausted reports that the budget ran out before the search space
-	// was exhausted; the decision is then the best anytime incumbent.
+	// Exhausted reports that the budget cut the search short; the
+	// decision is then the best anytime incumbent. A search that finishes
+	// within its budget, even on the last node, is not exhausted.
 	Exhausted bool
 }
 

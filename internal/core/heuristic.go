@@ -38,11 +38,8 @@ type Decision struct {
 }
 
 // Solver maps all jobs of a problem at once. Implementations must treat
-// the problem as read-only — also because a solver may parallelise
-// internally (exact.Optimal with Workers > 1 shares one Problem across its
-// search goroutines). The concurrency contract is one-sided: Solve is
-// called from a single goroutine at a time per instance, and whatever
-// concurrency an implementation uses stays behind that call.
+// the problem as read-only. Solve is called from a single goroutine at a
+// time per instance.
 type Solver interface {
 	Solve(p *sched.Problem) Decision
 }

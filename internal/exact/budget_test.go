@@ -7,6 +7,7 @@ import (
 	"predrm/internal/core"
 	"predrm/internal/platform"
 	"predrm/internal/rng"
+	"predrm/internal/sched"
 	"predrm/internal/task"
 )
 
@@ -18,25 +19,50 @@ func TestOptimalBudgetAware(t *testing.T) {
 	}
 	r := rng.New(31)
 	h := &core.Heuristic{}
+	full := &Optimal{}
 	var o core.BudgetAware = &Optimal{}
 
-	// A one-node budget forces immediate truncation, but the anytime
-	// incumbent (the heuristic seed) must survive the cut.
-	o.ApplyBudget(core.Budget{Nodes: 1})
-	for trial := 0; trial < 30; trial++ {
-		p := randomSmallProblem(r, plat, set)
+	// A one-node budget cuts every search that needs more than the root,
+	// but the anytime incumbent (the heuristic seed) must survive the cut,
+	// and a search that finishes within the budget must be reported
+	// complete and return the unbudgeted decision. Small instances mostly
+	// finish at the root; wide ones mostly need more.
+	const limit = 1
+	o.ApplyBudget(core.Budget{Nodes: limit})
+	exhausted, finished := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		var p *sched.Problem
+		if trial < 30 {
+			p = randomSmallProblem(r, plat, set)
+		} else {
+			p = randomWideProblem(r, plat, set)
+		}
 		hd := h.Solve(p)
+		want := full.Solve(p)
 		od := o.Solve(p)
 		if hd.Feasible && (!od.Feasible || od.Energy > hd.Energy+1e-9) {
 			t.Fatalf("trial %d: budgeted result worse than seed", trial)
 		}
 		use := o.BudgetUsed()
-		if use.Nodes > 1 {
-			t.Fatalf("trial %d: expanded %d nodes under a 1-node budget", trial, use.Nodes)
+		if use.Nodes > limit {
+			t.Fatalf("trial %d: expanded %d nodes under a %d-node budget", trial, use.Nodes, limit)
 		}
-		if use.Nodes == 1 && !use.Exhausted {
-			t.Fatalf("trial %d: budget consumed but not reported exhausted", trial)
+		if cut := full.LastStats.Nodes > limit; use.Exhausted != cut {
+			t.Fatalf("trial %d: exhausted=%v, but the unbudgeted search took %d node(s)",
+				trial, use.Exhausted, full.LastStats.Nodes)
 		}
+		if use.Exhausted {
+			exhausted++
+			if use.Nodes != limit {
+				t.Fatalf("trial %d: exhausted after %d of %d node(s)", trial, use.Nodes, limit)
+			}
+			continue
+		}
+		finished++
+		assertSameDecision(t, trial, want, od)
+	}
+	if exhausted == 0 || finished == 0 {
+		t.Fatalf("%d exhausted, %d finished solves: the test needs both", exhausted, finished)
 	}
 
 	// Clearing the budget restores the default limit: a small problem

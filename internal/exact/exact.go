@@ -33,50 +33,31 @@ import (
 // an anytime optimiser that still dominates the heuristic.
 const DefaultNodeLimit = 300000
 
-// Stats reports what the last Solve did.
+// Stats reports what the last Solve did. Without a wall budget every
+// field is deterministic for a given problem sequence and node budget.
 type Stats struct {
-	// Nodes is the number of branch-and-bound nodes expanded, summed over
-	// all workers for a parallel solve. Parallel node counts vary with
-	// scheduling (pruning depends on when the shared incumbent tightens);
-	// only the returned decision is deterministic.
+	// Nodes is the number of branch-and-bound nodes expanded.
 	Nodes int
-	// Truncated reports whether the node budget ran out before the search
-	// space was exhausted; if false the result is the exact optimum.
+	// Truncated reports whether the node or wall budget cut the search
+	// short; if false the result is the exact optimum. A search that
+	// finishes in exactly the node budget is not truncated.
 	Truncated bool
-	// Tasks is the number of root subtree tasks of a parallel solve
-	// (0 when the serial path ran).
-	Tasks int
-	// Workers is the number of search goroutines used (0 serial).
-	Workers int
 	// WarmSeeded reports whether the previous activation's mapping was
 	// repaired into a feasible solution of this problem and installed as
 	// the warm-start pruning bound (WarmStart field).
 	WarmSeeded bool
 	// WarmCuts counts subtrees cut by the warm-start bound alone — the
-	// incumbent bound had not pruned them. Like Nodes, parallel counts
-	// vary with scheduling; only the returned decision is deterministic.
+	// incumbent bound had not pruned them.
 	WarmCuts int
 }
 
 // Optimal is the exact mapping solver. The zero value is ready to use.
 //
-// An Optimal is not safe for concurrent use by multiple callers: it keeps
-// per-solve state, and Solve must be called from one goroutine at a time.
-// With Workers > 1, Solve parallelises internally — it splits the root of
-// the branch-and-bound tree into subtree tasks and searches them on its
-// own bounded worker pool — while remaining a single-caller API. The
-// parallel search is deterministic: a completed (non-truncated) parallel
-// Solve returns a decision bit-identical to the serial solver's,
-// regardless of worker count, GOMAXPROCS, or scheduling (see DESIGN.md
-// §7 for the total-order incumbent argument).
+// An Optimal is not safe for concurrent use: it keeps per-solve state, and
+// Solve must be called from one goroutine at a time.
 type Optimal struct {
 	// NodeLimit overrides DefaultNodeLimit when positive.
 	NodeLimit int
-	// Workers selects the search concurrency: 0 or 1 is the serial
-	// depth-first search, higher values split the root frontier into
-	// subtree tasks explored by that many goroutines sharing an atomic
-	// incumbent bound.
-	Workers int
 	// CacheSlots sizes the cross-activation feasibility cache: 0 selects
 	// sched.DefaultFeasCacheSlots, negative disables the cache. The cache
 	// memoises EDF feasibility probes keyed by a canonical fingerprint of
@@ -103,13 +84,13 @@ type Optimal struct {
 	budget    core.Budget
 	wallStart time.Time
 	wallHit   bool
+	// cut records that dfs refused to expand a node because the node
+	// limit was reached (Stats.Truncated).
+	cut bool
 
 	// Telemetry instruments (nil-safe no-ops until AttachMetrics).
 	mSolves, mTruncated, mInfeasible *telemetry.Counter
 	mNodes                           *telemetry.Histogram
-	mParSolves                       *telemetry.Counter
-	hParTasks                        *telemetry.Histogram
-	gParWorkers                      *telemetry.Gauge
 	mCacheHits, mCacheMisses         *telemetry.Counter
 	mCacheEvict                      *telemetry.Counter
 	gCacheRate                       *telemetry.Gauge
@@ -151,35 +132,24 @@ type Optimal struct {
 
 	// Warm-start state (WarmStart field): the previous activation's
 	// recorded mapping, the current solve's pruning bound (+Inf when
-	// absent — it is read-only during a search, so parallel workers share
-	// it without synchronisation), and the serial path's bound-cut count.
+	// absent) and the bound-cut count.
 	warm       sched.WarmState
 	warmBound  float64
 	warmSeeded bool
 	warmCuts   int
 
-	// Cross-activation feasibility cache (see CacheSlots) and the serial
-	// path's batched probe counters, flushed into the cache per Solve.
+	// Cross-activation feasibility cache (see CacheSlots) and the batched
+	// probe counters, flushed into the cache per Solve.
 	cache                *sched.FeasCache
 	hitsDelta, missDelta int64
 	lastEvict            int64
-
-	// Parallel-search state (see parallel.go): the persistent worker
-	// scratch pool and the shared incumbent/termination machinery.
-	par parSearch
 }
 
-// feasibleList probes one entry list, going through the cache when
-// enabled (sched.EntryList.FeasibleCached). hits/misses batch the probe
-// statistics caller-side so search workers pay no per-probe atomics.
-func feasibleList(p *sched.Problem, l *sched.EntryList, res int, cache *sched.FeasCache,
-	edf *sched.EDFScratch, hits, misses *int64) bool {
-	return l.FeasibleCached(p.Platform.Resource(res).Preemptable(), p.Time, cache, edf, hits, misses)
-}
-
-// feasible checks resource res's current entry list on the serial path.
+// feasible checks resource res's current entry list, going through the
+// cache when enabled (sched.EntryList.FeasibleCached).
 func (o *Optimal) feasible(res int) bool {
-	return feasibleList(o.p, &o.lists[res], res, o.cache, &o.edf, &o.hitsDelta, &o.missDelta)
+	return o.lists[res].FeasibleCached(o.p.Platform.Resource(res).Preemptable(), o.p.Time,
+		o.cache, &o.edf, &o.hitsDelta, &o.missDelta)
 }
 
 var _ core.Solver = (*Optimal)(nil)
@@ -205,8 +175,6 @@ func (o *Optimal) recordBB() {
 	b := telemetry.BBStats{
 		Nodes:       o.LastStats.Nodes,
 		Truncated:   o.LastStats.Truncated,
-		Tasks:       o.LastStats.Tasks,
-		Workers:     o.LastStats.Workers,
 		CacheHits:   o.hitsDelta,
 		CacheMisses: o.missDelta,
 	}
@@ -236,10 +204,7 @@ func (o *Optimal) BudgetUsed() core.BudgetUse {
 
 // AttachMetrics registers the solver's instruments on reg: counters
 // exact.solves, exact.truncated, and exact.infeasible, plus the histogram
-// exact.nodes (branch-and-bound nodes per solve). The parallel search adds
-// exact.parallel.solves (parallel-path activations), exact.parallel.tasks
-// (root subtree tasks per parallel solve) and exact.parallel.workers
-// (goroutines per parallel solve, gauge); the pruning cache adds
+// exact.nodes (branch-and-bound nodes per solve). The pruning cache adds
 // exact.cache.hits / exact.cache.misses / exact.cache.evictions and the
 // lifetime exact.cache.hit_rate gauge. Warm starting adds
 // exact.warmstart.attempts / .seeded (repairs that produced a bound — the
@@ -250,9 +215,6 @@ func (o *Optimal) AttachMetrics(reg *telemetry.Registry) {
 	o.mTruncated = reg.Counter("exact.truncated")
 	o.mInfeasible = reg.Counter("exact.infeasible")
 	o.mNodes = reg.Histogram("exact.nodes", telemetry.NodeBuckets)
-	o.mParSolves = reg.Counter("exact.parallel.solves")
-	o.hParTasks = reg.Histogram("exact.parallel.tasks", telemetry.CountBuckets)
-	o.gParWorkers = reg.Gauge("exact.parallel.workers")
 	o.mCacheHits = reg.Counter("exact.cache.hits")
 	o.mCacheMisses = reg.Counter("exact.cache.misses")
 	o.mCacheEvict = reg.Counter("exact.cache.evictions")
@@ -274,7 +236,7 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 	if o.budget.Nodes > 0 && o.budget.Nodes < o.limit {
 		o.limit = o.budget.Nodes
 	}
-	o.wallHit = false
+	o.wallHit, o.cut = false, false
 	if o.budget.Wall > 0 {
 		o.wallStart = time.Now()
 	}
@@ -355,32 +317,17 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 		o.bestMap = append(o.bestMap[:0], h.Mapping...)
 	}
 
-	tasks, workers := 0, 0
-	if o.Workers > 1 && len(o.order) >= 2 {
-		tasks, workers = o.solveParallel(h, pinnedEnergy)
-	}
-	if workers == 0 {
-		// Serial depth-first search: either requested (Workers <= 1) or
-		// the root frontier was too small to be worth splitting.
-		o.dfs(0, pinnedEnergy)
-	}
+	o.dfs(0, pinnedEnergy)
 
 	o.LastStats = Stats{
 		Nodes:      o.nodes,
-		Truncated:  o.nodes >= o.limit || o.wallHit,
-		Tasks:      tasks,
-		Workers:    workers,
+		Truncated:  o.cut || o.wallHit,
 		WarmSeeded: o.warmSeeded,
 		WarmCuts:   o.warmCuts,
 	}
 	o.mWarmCuts.Add(int64(o.warmCuts))
 	o.mSolves.Inc()
 	o.mNodes.Observe(float64(o.nodes))
-	if workers > 0 {
-		o.mParSolves.Inc()
-		o.hParTasks.Observe(float64(tasks))
-		o.gParWorkers.Set(float64(workers))
-	}
 	if o.LastStats.Truncated {
 		o.mTruncated.Inc()
 	}
@@ -540,7 +487,11 @@ func (o *Optimal) prepareOrders(free []int) {
 }
 
 func (o *Optimal) dfs(depth int, energy float64) {
-	if o.nodes >= o.limit || o.wallHit {
+	if o.wallHit {
+		return
+	}
+	if o.nodes >= o.limit {
+		o.cut = true
 		return
 	}
 	o.nodes++

@@ -1,7 +1,7 @@
 package exact
 
 import (
-	"runtime"
+	"fmt"
 	"testing"
 
 	"predrm/internal/platform"
@@ -105,27 +105,30 @@ func TestWarmStartMatchesColdSerial(t *testing.T) {
 	t.Logf("seeded %d warm solves, %d warm-only cuts", seeded, cuts)
 }
 
-// TestWarmStartMatchesColdParallel repeats the differential check with the
-// parallel search on both sides: the warm bound is shared read-only across
-// workers and must not perturb the deterministic reduction.
+// TestWarmStartMatchesColdParallel repeats the differential check with
+// several warm/cold solver pairs running concurrently: warm state, cache
+// and scratch belong to one Optimal, so independent solvers in parallel
+// goroutines must not perturb each other's decisions.
 func TestWarmStartMatchesColdParallel(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		old := runtime.GOMAXPROCS(procs)
-		warm := &Optimal{NodeLimit: 2_000_000, WarmStart: true, Workers: 4}
-		cold := &Optimal{NodeLimit: 2_000_000, Workers: 4}
-		seeded, _ := runWarmColdSequences(t, warm, cold, uint64(333+procs), 25)
-		runtime.GOMAXPROCS(old)
-		if seeded == 0 {
-			t.Fatalf("procs=%d: warm solver never seeded a bound", procs)
-		}
+	for _, seed := range []uint64{334, 337, 341, 347} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			warm := &Optimal{NodeLimit: 2_000_000, WarmStart: true}
+			cold := &Optimal{NodeLimit: 2_000_000}
+			if seeded, _ := runWarmColdSequences(t, warm, cold, seed, 12); seeded == 0 {
+				t.Fatal("warm solver never seeded a bound")
+			}
+		})
 	}
 }
 
-// TestWarmStartAgainstSerialCold crosses the modes: a parallel warm solver
-// against a serial cold one, so a warm-bound bug that happened to be
-// mode-symmetric would still be caught.
+// TestWarmStartAgainstSerialCold crosses the configurations: a warm solver
+// with the feasibility cache disabled against a cold one with the default
+// cache, so a warm-bound bug that happened to be cache-symmetric would
+// still be caught.
 func TestWarmStartAgainstSerialCold(t *testing.T) {
-	warm := &Optimal{NodeLimit: 2_000_000, WarmStart: true, Workers: 4}
+	warm := &Optimal{NodeLimit: 2_000_000, WarmStart: true, CacheSlots: -1}
 	cold := &Optimal{NodeLimit: 2_000_000}
 	if seeded, _ := runWarmColdSequences(t, warm, cold, 4242, 25); seeded == 0 {
 		t.Fatal("warm solver never seeded a bound")

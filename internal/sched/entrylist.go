@@ -41,19 +41,6 @@ func (l *EntryList) Reset() {
 	l.fpXor, l.fpSum = 0, 0
 }
 
-// CopyFrom makes l an independent copy of src — entries, counters, and
-// fingerprint state — reusing l's storage. It is how a search worker
-// snapshots the shared base state before applying its own trial inserts.
-func (l *EntryList) CopyFrom(src *EntryList) {
-	l.entries = append(l.entries[:0], src.entries...)
-	l.future = src.future
-	l.pinned = src.pinned
-	l.fpOn = src.fpOn
-	l.fpT = src.fpT
-	l.fpXor = src.fpXor
-	l.fpSum = src.fpSum
-}
-
 // Len returns the number of entries.
 func (l *EntryList) Len() int { return len(l.entries) }
 
@@ -135,7 +122,7 @@ func (l *EntryList) Feasible(preemptable bool, t float64, s *EDFScratch) bool {
 // list's incremental fingerprint keys a lookup, and only a miss runs the
 // actual check (whose verdict is then stored). A nil cache degrades to a
 // plain Feasible. hits/misses batch the probe statistics caller-side so
-// concurrent search workers pay no per-probe atomics. The list must have
+// a search pays no per-probe atomics. The list must have
 // fingerprinting enabled when cache is non-nil.
 //
 // A cached verdict is the verdict Feasible computed for an identical

@@ -84,7 +84,7 @@ type Fp struct {
 // Lookup returns the cached verdict for fp. The second result reports
 // whether the key was present. Lookup is safe for concurrent use and does
 // not touch the hit/miss statistics — callers batch those via AddStats so
-// search workers pay no per-probe atomics.
+// a search pays no per-probe atomics.
 func (c *FeasCache) Lookup(fp Fp) (feasible, ok bool) {
 	if c == nil {
 		return false, false
@@ -123,8 +123,8 @@ func (c *FeasCache) Store(fp Fp, feasible bool) {
 // Advance starts a new epoch (one solver activation) and runs one
 // increment of the clock sweep: the next sweepChunk slots are examined and
 // those untouched for TTLEpochs epochs are retired. Advance must not race
-// with Lookup/Store from search workers; solvers call it between
-// activations, never during a search.
+// with Lookup/Store; solvers call it between activations, never during a
+// search.
 func (c *FeasCache) Advance() {
 	if c == nil {
 		return
@@ -151,7 +151,7 @@ func (c *FeasCache) Advance() {
 	}
 }
 
-// AddStats folds a worker's batched hit/miss counts into the cache totals.
+// AddStats folds a caller's batched hit/miss counts into the cache totals.
 func (c *FeasCache) AddStats(hits, misses int64) {
 	if c == nil {
 		return
@@ -231,9 +231,8 @@ func entryHash(t float64, e Entry) uint64 {
 // list that is (or will be) populated at activation time t. It must be
 // called on an empty list; Insert and Remove then keep a multiset digest
 // of the entries at O(1) extra cost, and FeasFingerprint reads it without
-// touching the entries. Reset preserves the setting; CopyFrom copies it
-// from the source. Lists that never consult a FeasCache (the heuristic's)
-// leave it off and pay nothing.
+// touching the entries. Reset preserves the setting. Lists that never
+// consult a FeasCache (the heuristic's) leave it off and pay nothing.
 func (l *EntryList) EnableFingerprint(t float64) {
 	l.fpOn = true
 	l.fpT = t

@@ -145,40 +145,6 @@ func TestFingerprintShiftInvariance(t *testing.T) {
 	}
 }
 
-// TestCopyFrom: the copy must be deep (mutations independent) and carry
-// counters and fingerprint state.
-func TestCopyFrom(t *testing.T) {
-	r := rng.New(7)
-	now := 5.0
-	var src EntryList
-	src.EnableFingerprint(now)
-	for i := 0; i < 8; i++ {
-		src.Insert(now, randEntry(r, now))
-	}
-	var dst EntryList
-	dst.CopyFrom(&src)
-	if err := dst.Invariant(now); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Len() != src.Len() || dst.Future() != src.Future() {
-		t.Fatalf("copy mismatch: len %d/%d future %d/%d", dst.Len(), src.Len(), dst.Future(), src.Future())
-	}
-	if dst.FeasFingerprint(true) != src.FeasFingerprint(true) {
-		t.Fatal("fingerprint not carried by CopyFrom")
-	}
-	// Mutating the copy must not disturb the source.
-	before := src.FeasFingerprint(true)
-	dst.Insert(now, randEntry(r, now))
-	if src.FeasFingerprint(true) != before || src.Len() == dst.Len() {
-		t.Fatal("CopyFrom aliases the source storage")
-	}
-	// And a second CopyFrom resets the destination.
-	dst.CopyFrom(&src)
-	if dst.FeasFingerprint(true) != before {
-		t.Fatal("repeated CopyFrom did not restore the source state")
-	}
-}
-
 // TestFeasCacheBasics: store/lookup round-trips, unknown keys miss, and
 // the sweep retires entries that stop being touched.
 func TestFeasCacheBasics(t *testing.T) {

@@ -10,10 +10,8 @@ import (
 // Problem is one resource-management decision instance: the state the RM
 // sees when it is activated at Time (the paper's set S̄ plus the platform).
 //
-// Solvers treat a Problem (jobs, platform, policy) as strictly read-only,
-// so one Problem may be shared by the concurrent workers of a parallel
-// solver without cloning; a snapshot of per-resource trial state is taken
-// per worker via EntryList.CopyFrom instead.
+// Solvers treat a Problem (jobs, platform, policy) as strictly read-only
+// and keep their per-resource trial state in their own EntryLists.
 type Problem struct {
 	// Platform the jobs are mapped onto.
 	Platform *platform.Platform

@@ -123,9 +123,6 @@ type BBStats struct {
 	// Nodes expanded; Truncated when the budget cut the search short.
 	Nodes     int  `json:"nodes"`
 	Truncated bool `json:"truncated,omitempty"`
-	// Tasks/Workers describe the parallel split (0 = serial path).
-	Tasks   int `json:"tasks,omitempty"`
-	Workers int `json:"workers,omitempty"`
 	// CacheHits/CacheMisses are the FeasCache probe counts of this solve.
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`

@@ -149,9 +149,6 @@ func WriteExplanation(w io.Writer, x *Explanation) error {
 			if b.Truncated {
 				p(" (budget truncated)")
 			}
-			if b.Workers > 0 {
-				p(", %d task(s) on %d worker(s)", b.Tasks, b.Workers)
-			}
 			if b.CacheHits+b.CacheMisses > 0 {
 				p(", cache %d hit / %d miss", b.CacheHits, b.CacheMisses)
 			}
