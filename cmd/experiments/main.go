@@ -28,66 +28,61 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"sort"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"predrm/internal/experiments"
-	"predrm/internal/obs"
 	"predrm/internal/platform"
+	"predrm/internal/rmconf"
 	"predrm/internal/telemetry"
 	"predrm/internal/trace"
 )
 
 func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment id (see doc comment)")
-		traces   = flag.Int("traces", 30, "traces per group (paper: 500)")
-		traceLen = flag.Int("len", 200, "requests per trace (paper: 500)")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		profile  = flag.String("profile", "calibrated", "workload profile: calibrated or paper")
-		nodes    = flag.Int("exact-nodes", 0, "exact-solver node limit per activation (0 = default)")
-		warm     = flag.Bool("warmstart", true, "let solvers reuse the previous activation's work (warm pruning bound for the exact engine, cross-activation probe cache for the heuristics); results are bit-identical either way")
-		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		metricsOut = flag.String("metrics-out", "", "write the merged telemetry snapshot as JSON to this file")
-		traceOut   = flag.String("trace-out", "", "write telemetry-collecting runs' event streams as JSONL to this file (concatenates one stream per simulated trace; for tracetool check/diff record a single run with rmsim)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-		opsAddr    = flag.String("ops-addr", "", "serve the live introspection plane (metrics, statusz, trace tail, pprof) on this address while the sweep runs")
-		opsLinger  = flag.Duration("ops-linger", 0, "keep the -ops-addr server up this long after the last experiment")
-		platSpecs  = flag.String("platform", "8c1g,16c2g,64c8g", "comma-separated platform specs the scale-sweep experiment grows across (other experiments run the paper's 5c1g platform)")
+func run(args []string, stdout, stderr io.Writer) int {
+	return rmconf.Exit("experiments", stderr, sweep(args, stdout, stderr))
+}
+
+func sweep(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var f rmconf.Flags
+	f.Register(fs, "seed", "warmstart", "metrics-out", "trace-out", "cpuprofile", "memprofile", "ops-addr", "ops-linger")
+	var (
+		exp       = fs.String("exp", "all", "experiment id (see doc comment)")
+		traces    = fs.Int("traces", 30, "traces per group (paper: 500)")
+		traceLen  = fs.Int("len", 200, "requests per trace (paper: 500)")
+		profile   = fs.String("profile", "calibrated", "workload profile: calibrated or paper")
+		nodes     = fs.Int("exact-nodes", 0, "exact-solver node limit per activation (0 = default)")
+		csvDir    = fs.String("csv", "", "also write each table as CSV into this directory")
+		platSpecs = fs.String("platform", "8c1g,16c2g,64c8g", "comma-separated platform specs the scale-sweep experiment grows across (other experiments run the paper's 5c1g platform)")
 	)
-	flag.Parse()
-	validateFlags(*traces, *traceLen, *nodes)
-	if *opsLinger > 0 && *opsAddr == "" {
-		fatalf("-ops-linger needs -ops-addr")
+	if err := rmconf.Parse(fs, args); err != nil {
+		return err
 	}
 
 	cfg := experiments.DefaultConfig()
 	cfg.Traces = *traces
 	cfg.TraceLen = *traceLen
-	cfg.Seed = *seed
+	cfg.Seed = f.Seed
 	cfg.ExactNodeLimit = *nodes
-	cfg.WarmStart = *warm
+	cfg.WarmStart = f.WarmStart
 	switch *profile {
 	case "calibrated":
 		cfg.Profile = experiments.CalibratedProfile()
 	case "paper":
 		cfg.Profile = experiments.PaperProfile()
 	default:
-		fatalf("unknown profile %q", *profile)
+		return fmt.Errorf("unknown profile %q", *profile)
 	}
 
 	var scaleSpecs []string
@@ -97,12 +92,12 @@ func main() {
 			continue
 		}
 		if _, err := platform.Parse(s); err != nil {
-			fatalf("-platform: %v", err)
+			return fmt.Errorf("-platform: %w", err)
 		}
 		scaleSpecs = append(scaleSpecs, s)
 	}
 	if len(scaleSpecs) == 0 {
-		fatalf("-platform %q: no specs", *platSpecs)
+		return fmt.Errorf("-platform %q: no specs", *platSpecs)
 	}
 
 	ids := strings.Split(*exp, ",")
@@ -117,270 +112,116 @@ func main() {
 			"fault-sweep", "scale-sweep",
 		}
 	}
-	var traceFile *os.File
-	if *traceOut != "" {
-		var err error
-		traceFile, err = os.Create(*traceOut)
-		if err != nil {
-			fatalf("trace-out: %v", err)
-		}
-		cfg.Tracer = telemetry.NewTracer(telemetry.TracerOptions{Sink: traceFile})
+	// Without -trace-out, a ring-only tracer lets /trace/tail subscribers
+	// still stream the telemetry experiments' events live.
+	out, err := f.Open("experiments", stderr, f.OpsAddr != "")
+	if err != nil {
+		return err
 	}
+	defer out.Close()
+	cfg.Tracer = out.Tracer
 	// Merged snapshot of the telemetry-collecting experiments finished so
 	// far, refreshed after each id; the ops plane scrapes it live.
 	var merged atomic.Pointer[telemetry.Snapshot]
-	var opsSrv *obs.Server
-	if *opsAddr != "" {
-		if cfg.Tracer == nil {
-			// Ring-only tracer: no JSONL sink, but /trace/tail subscribers
-			// can still stream the telemetry experiments' events live.
-			cfg.Tracer = telemetry.NewTracer(telemetry.TracerOptions{})
-		}
-		plane := obs.NewPlane(obs.Options{
-			Snapshot: func() *telemetry.Snapshot { return merged.Load() },
-			Tracer:   cfg.Tracer,
-		})
-		cfg.StateProbe = plane.Probe
-		var err error
-		opsSrv, err = obs.Serve(*opsAddr, plane)
-		if err != nil {
-			fatalf("ops-addr: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: ops server on %s (try %s/statusz)\n", opsSrv.URL(), opsSrv.URL())
+	plane, err := out.ServeOps(merged.Load)
+	if err != nil {
+		return err
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatalf("cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("cpuprofile: %v", err)
-		}
+	if plane != nil {
+		cfg.StateProbe = plane.Probe
 	}
 	start := time.Now()
 	var snaps []*telemetry.Snapshot
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
-		tables, snap, err := run(id, cfg, scaleSpecs)
+		tables, snap, err := runExperiment(id, cfg, scaleSpecs)
 		if err != nil {
-			fatalf("%s: %v", id, err)
+			return fmt.Errorf("%s: %w", id, err)
 		}
 		if snap != nil {
 			snaps = append(snaps, snap)
 			merged.Store(telemetry.Merge(snaps...))
 		}
 		for _, t := range tables {
-			if err := t.Fprint(os.Stdout); err != nil {
-				fatalf("%s: %v", id, err)
+			if err := t.Fprint(stdout); err != nil {
+				return fmt.Errorf("%s: %w", id, err)
 			}
 		}
 		if *csvDir != "" {
 			if err := writeCSVs(*csvDir, id, tables); err != nil {
-				fatalf("%s: %v", id, err)
+				return fmt.Errorf("%s: %w", id, err)
 			}
 		}
 	}
-	if *cpuProfile != "" {
-		pprof.StopCPUProfile()
+	all := telemetry.Merge(snaps...)
+	if err := out.Finish(all); err != nil {
+		return err
 	}
-	if traceFile != nil {
-		// A sink write failure means the JSONL stream on disk is silently
-		// truncated; surface it rather than shipping a partial trace.
-		if err := cfg.Tracer.Flush(); err != nil {
-			fatalf("trace-out: %v", err)
-		}
-		if err := traceFile.Close(); err != nil {
-			fatalf("trace-out: %v", err)
-		}
-		if err := cfg.Tracer.Err(); err != nil {
-			fatalf("trace-out: event stream truncated: %v", err)
-		}
-	}
-	if cfg.Tracer != nil {
-		if n := cfg.Tracer.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: warning: tracer dropped %d event(s) (ring overwritten faster than drained)\n", n)
-		}
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatalf("memprofile: %v", err)
-		}
-		runtime.GC() // settle the heap so the profile reflects retained memory
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatalf("memprofile: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("memprofile: %v", err)
-		}
-	}
-	if *metricsOut != "" {
-		merged := telemetry.Merge(snaps...)
-		buf, err := json.MarshalIndent(merged, "", "  ")
-		if err != nil {
-			fatalf("metrics-out: %v", err)
-		}
-		if err := os.WriteFile(*metricsOut, append(buf, '\n'), 0o644); err != nil {
-			fatalf("metrics-out: %v", err)
-		}
-	}
-	if opsSrv != nil {
-		if *opsLinger > 0 {
-			// Interruptible linger: Ctrl-C must still reach opsSrv.Close so
-			// open /trace/tail streams get their clean terminal event
-			// instead of dying with the process.
-			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-			fmt.Fprintf(os.Stderr, "experiments: ops server lingering for %v on %s (Ctrl-C to stop)\n", *opsLinger, opsSrv.URL())
-			select {
-			case <-time.After(*opsLinger):
-			case <-ctx.Done():
-				fmt.Fprintln(os.Stderr, "experiments: interrupted, closing ops server")
-			}
-			stop()
-		}
-		if err := opsSrv.Close(); err != nil {
-			fatalf("ops-addr: %v", err)
-		}
+	if err := out.CloseOps(); err != nil {
+		return err
 	}
 	if len(snaps) > 0 {
 		// Decision-reason histograms over every telemetry-collecting
 		// experiment in the sweep (the enumerated vocabulary makes these
 		// comparable across runs and profiles).
-		m := telemetry.Merge(snaps...)
-		printReasonLine("admit reasons:  ", m.Counters, "sim.admit_reason.")
-		printReasonLine("reject reasons: ", m.Counters, "sim.reject_reason.")
+		rmconf.PrintReasonLine(stdout, "admit reasons:  ", all.Counters, "sim.admit_reason.")
+		rmconf.PrintReasonLine(stdout, "reject reasons: ", all.Counters, "sim.reject_reason.")
 	}
-	fmt.Printf("done in %v (profile=%s, %d traces x %d requests)\n",
+	fmt.Fprintf(stdout, "done in %v (profile=%s, %d traces x %d requests)\n",
 		time.Since(start).Round(time.Millisecond), cfg.Profile.Name, cfg.Traces, cfg.TraceLen)
+	return nil
 }
 
-// printReasonLine renders one decision-reason histogram from the counters
-// under prefix, sorted by reason; empty histograms print nothing.
-func printReasonLine(label string, counters map[string]int64, prefix string) {
-	var reasons []string
-	for name := range counters {
-		if strings.HasPrefix(name, prefix) {
-			reasons = append(reasons, strings.TrimPrefix(name, prefix))
-		}
-	}
-	if len(reasons) == 0 {
-		return
-	}
-	sort.Strings(reasons)
-	parts := make([]string, len(reasons))
-	for i, r := range reasons {
-		parts[i] = fmt.Sprintf("%s %d", r, counters[prefix+r])
-	}
-	fmt.Printf("%s%s\n", label, strings.Join(parts, ", "))
-}
-
-// run executes one experiment and returns its tables plus, for
+// runExperiment executes one experiment and returns its tables plus, for
 // telemetry-collecting experiments, the merged metrics snapshot.
-func run(id string, cfg experiments.Config, scaleSpecs []string) ([]*experiments.Table, *telemetry.Snapshot, error) {
+func runExperiment(id string, cfg experiments.Config, scaleSpecs []string) ([]*experiments.Table, *telemetry.Snapshot, error) {
 	sweep := []float64{0.25, 0.5, 0.75, 1.0}
 	switch id {
 	case "motivational":
-		r, err := experiments.Motivational()
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*experiments.Table{r.Table}, nil, nil
+		return tables(experiments.Motivational())
 	case "milp-vs-heuristic":
-		r, err := experiments.MILPvsHeuristic(cfg)
-		if err != nil {
+		return tables(experiments.MILPvsHeuristic(cfg))
+	case "impact-lt", "fig2a", "fig3b", "impact-vt", "fig2b", "fig3a":
+		tight := trace.LessTight
+		if id == "impact-vt" || id == "fig2b" || id == "fig3a" {
+			tight = trace.VeryTight
+		}
+		ts, _, err := tables(experiments.PredictionImpact(cfg, tight))
+		switch {
+		case err != nil:
 			return nil, nil, err
+		case strings.HasPrefix(id, "fig2"):
+			ts = ts[:1] // rejection
+		case strings.HasPrefix(id, "fig3"):
+			ts = ts[1:] // energy
 		}
-		return []*experiments.Table{r.Table}, nil, nil
-	case "fig2a", "fig3b", "impact-lt":
-		r, err := experiments.PredictionImpact(cfg, trace.LessTight)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch id {
-		case "fig2a":
-			return []*experiments.Table{r.RejectionTable}, nil, nil
-		case "fig3b":
-			return []*experiments.Table{r.EnergyTable}, nil, nil
-		}
-		return []*experiments.Table{r.RejectionTable, r.EnergyTable}, nil, nil
-	case "fig2b", "fig3a", "impact-vt":
-		r, err := experiments.PredictionImpact(cfg, trace.VeryTight)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch id {
-		case "fig2b":
-			return []*experiments.Table{r.RejectionTable}, nil, nil
-		case "fig3a":
-			return []*experiments.Table{r.EnergyTable}, nil, nil
-		}
-		return []*experiments.Table{r.RejectionTable, r.EnergyTable}, nil, nil
+		return ts, nil, nil
 	case "fig4a":
-		r, err := experiments.Fig4a(cfg, sweep)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*experiments.Table{r.Table}, nil, nil
+		return tables(experiments.Fig4a(cfg, sweep))
 	case "fig4b":
-		r, err := experiments.Fig4b(cfg, sweep)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*experiments.Table{r.Table}, nil, nil
+		return tables(experiments.Fig4b(cfg, sweep))
 	case "fig5":
-		r, err := experiments.Fig5(cfg, []float64{0, 0.01, 0.02, 0.04, 0.08, 0.25, 0.5, 1.0})
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*experiments.Table{r.Table}, nil, nil
+		return tables(experiments.Fig5(cfg, []float64{0, 0.01, 0.02, 0.04, 0.08, 0.25, 0.5, 1.0}))
 	case "ablation-regret":
-		r, err := experiments.AblationRegret(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*experiments.Table{r.Table}, nil, nil
+		return tables(experiments.AblationRegret(cfg))
 	case "ablation-migration":
-		r, err := experiments.AblationMigration(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*experiments.Table{r.Table}, nil, nil
+		return tables(experiments.AblationMigration(cfg))
 	case "baseline-static":
-		r, err := experiments.BaselineStatic(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*experiments.Table{r.Table}, nil, nil
+		return tables(experiments.BaselineStatic(cfg))
 	case "lookahead":
-		r, err := experiments.LookaheadSweep(cfg, []int{1, 2, 3, 4})
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*experiments.Table{r.Table}, nil, nil
+		return tables(experiments.LookaheadSweep(cfg, []int{1, 2, 3, 4}))
 	case "online-predictors":
-		r, err := experiments.OnlinePredictors(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*experiments.Table{r.Table}, nil, nil
+		return tables(experiments.OnlinePredictors(cfg))
+	case "load-surface":
+		return tables(experiments.LoadSurface(cfg, []float64{1.2, 1.7, 2.2, 3.0, 4.5}))
+	case "scale-sweep":
+		return tables(experiments.ScaleSweep(cfg, scaleSpecs))
 	case "telemetry":
 		r, err := experiments.TelemetryProbe(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		return []*experiments.Table{r.Table}, r.Merged, nil
-	case "load-surface":
-		r, err := experiments.LoadSurface(cfg, []float64{1.2, 1.7, 2.2, 3.0, 4.5})
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*experiments.Table{r.Table}, nil, nil
-	case "scale-sweep":
-		r, err := experiments.ScaleSweep(cfg, scaleSpecs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*experiments.Table{r.Table}, nil, nil
 	case "fault-sweep":
 		r, err := experiments.FaultSweep(cfg, []float64{0, 0.1, 0.25, 0.5})
 		if err != nil {
@@ -391,9 +232,16 @@ func run(id string, cfg experiments.Config, scaleSpecs []string) ([]*experiments
 			snaps = append(snaps, s)
 		}
 		return []*experiments.Table{r.Table}, telemetry.Merge(snaps...), nil
-	default:
-		return nil, nil, fmt.Errorf("unknown experiment id %q", id)
 	}
+	return nil, nil, fmt.Errorf("unknown experiment id %q", id)
+}
+
+// tables returns the tables of an experiment that collects no telemetry.
+func tables[R interface{ Tables() []*experiments.Table }](r R, err error) ([]*experiments.Table, *telemetry.Snapshot, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.Tables(), nil, nil
 }
 
 // writeCSVs exports an experiment's tables into dir.
@@ -419,22 +267,4 @@ func writeCSVs(dir, id string, tables []*experiments.Table) error {
 		}
 	}
 	return nil
-}
-
-// validateFlags rejects out-of-range workload parameters up front with
-// actionable messages instead of failing deep inside the first experiment.
-func validateFlags(traces, traceLen, nodes int) {
-	switch {
-	case traces <= 0:
-		fatalf("-traces %d must be positive", traces)
-	case traceLen <= 0:
-		fatalf("-len %d must be positive", traceLen)
-	case nodes < 0:
-		fatalf("-exact-nodes %d must be non-negative (0 = solver default)", nodes)
-	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
-	os.Exit(1)
 }

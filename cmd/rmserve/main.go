@@ -31,303 +31,110 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"predrm/internal/core"
 	"predrm/internal/engine"
-	"predrm/internal/exact"
 	"predrm/internal/obs"
-	"predrm/internal/platform"
+	"predrm/internal/rmconf"
 	"predrm/internal/rng"
-	"predrm/internal/sched"
 	"predrm/internal/serve"
-	"predrm/internal/task"
 	"predrm/internal/telemetry"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	return rmconf.Exit("rmserve", stderr, serveRM(args, stdout, stderr))
+}
+
+func serveRM(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("rmserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var f rmconf.Flags
+	f.Register(fs, "engine", "warmstart", "solver-budget", "taskset", "platform", "seed", "types",
+		"shards", "work-conserving", "trace-out", "provenance")
 	var (
-		addr      = flag.String("addr", ":8080", "address to serve the RM API and introspection plane on (:0 picks a free port)")
-		setPath   = flag.String("taskset", "", "task-set JSON file written by tracegen (empty: generate from -seed)")
-		platSpec  = flag.String("platform", "", "platform spec like 5c1g or 64c8g (empty: the paper's 5c1g default; invalid with -taskset, which carries its platform)")
-		shards    = flag.Int("shards", 1, "partition the platform into this many shards, each admitting against only its own resources (scale-out mode)")
-		engName   = flag.String("engine", "heuristic", "mapping engine: heuristic, greedy, or milp")
-		warmStart = flag.Bool("warmstart", true, "reuse the previous activation's work across live activations (milp: repair-based pruning bound; heuristic: EDF probe cache); decisions are identical either way")
-		seed      = flag.Uint64("seed", 1, "task-set seed (ignored with -taskset)")
-		types     = flag.Int("types", 100, "generated task types (ignored with -taskset)")
-		workCons  = flag.Bool("work-conserving", false, "ignore predicted-task reservations between activations")
-		speed     = flag.Float64("speed", 1, "engine time units per real second (replay compression; decisions are speed-invariant)")
-
-		solverBudget = flag.String("solver-budget", "", "per-activation solver budget: a node count (e.g. 20000) or a wall duration (e.g. 5ms); enables the budgeted fallback chain for graceful degradation under load")
-
-		traceOut     = flag.String("trace-out", "", "write the structured event stream as JSONL to this file")
-		provOn       = flag.Bool("provenance", false, "record decision provenance into the event stream (inspect via /explainz or tracetool explain)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown may wait for in-flight jobs to drain")
+		addr         = fs.String("addr", ":8080", "address to serve the RM API and introspection plane on (:0 picks a free port)")
+		speed        = fs.Float64("speed", 1, "engine time units per real second (replay compression; decisions are speed-invariant)")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown may wait for in-flight jobs to drain")
 	)
-	flag.Parse()
-	if *speed <= 0 {
-		fatalf("-speed %g must be positive", *speed)
+	if err := rmconf.Parse(fs, args); err != nil {
+		return err
 	}
-	if *shards < 1 {
-		fatalf("-shards %d must be at least 1", *shards)
+	set, err := f.TaskSet(rng.New(f.Seed))
+	if err != nil {
+		return err
 	}
-	if *shards > 1 {
-		// Multi-shard engines reject globally-stateful features (see
-		// engine.NewSharded); /trace/tail and /explainz go dark, the rest
-		// of the plane (metrics, statusz, SLO burn) stays live.
-		if *traceOut != "" {
-			fatalf("-trace-out is not supported with -shards > 1 (per-shard event streams would interleave)")
-		}
-		if *provOn {
-			fatalf("-provenance is not supported with -shards > 1")
-		}
+	// A multi-shard engine refuses the tracer (engine.NewSharded), so
+	// /trace/tail and /explainz go dark there; the rest of the plane
+	// (metrics, statusz, SLO burn) stays live.
+	out, err := f.Open("rmserve", stderr, f.Shards == 1)
+	if err != nil {
+		return err
 	}
-
-	var (
-		set *task.Set
-		err error
-	)
-	if *setPath != "" {
-		if *platSpec != "" {
-			fatalf("-platform has no effect with -taskset (the task set carries its platform)")
-		}
-		set, err = task.ReadFile(*setPath)
-		if err != nil {
-			fatalf("load task set: %v", err)
-		}
-	} else {
-		plat := platform.Default()
-		if *platSpec != "" {
-			plat, err = platform.Parse(*platSpec)
-			if err != nil {
-				fatalf("platform: %v", err)
-			}
-		}
-		tcfg := task.DefaultGenConfig()
-		tcfg.NumTypes = *types
-		set, err = task.Generate(plat, tcfg, rng.New(*seed).Split())
-		if err != nil {
-			fatalf("task set: %v", err)
-		}
+	defer out.Close()
+	cfg, newSolver, err := f.EngineConfig(set, out.Tracer)
+	if err != nil {
+		return err
 	}
-
-	cfg := engine.Config{
-		Platform:       set.Platform,
-		TaskSet:        set,
-		WorkConserving: *workCons,
-		Metrics:        telemetry.NewRegistry(),
-	}
-	// newSolver builds one solver instance; shards cannot share solver
-	// state, so the sharded engine calls it once per shard (each with its
-	// own warm cache and, under -solver-budget, its own fallback chain).
-	newSolver := func() core.Solver {
-		var warmCache *sched.FeasCache
-		if *warmStart && *engName != "milp" {
-			warmCache = sched.NewFeasCache(0)
-		}
-		var s core.Solver
-		switch *engName {
-		case "heuristic":
-			s = &core.Heuristic{Cache: warmCache}
-		case "greedy":
-			s = &core.Heuristic{Greedy: true, Cache: warmCache}
-		case "milp":
-			s = &exact.Optimal{WarmStart: *warmStart}
-		default:
-			fatalf("unknown engine %q", *engName)
-		}
-		if *shards > 1 && *solverBudget != "" {
-			budget, err := parseBudget(*solverBudget)
-			if err != nil {
-				fatalf("solver-budget: %v", err)
-			}
-			s = &core.BudgetedSolver{
-				Stages: []core.Stage{
-					{Name: *engName, Solver: s},
-					{Name: "heuristic", Solver: &core.Heuristic{}},
-				},
-				Budget: budget,
-			}
-		}
-		return s
-	}
-	if *shards == 1 {
-		cfg.Solver = newSolver()
-	}
-
-	var (
-		traceFile *os.File
-		tracer    *telemetry.Tracer
-	)
-	if *shards == 1 {
-		topts := telemetry.TracerOptions{}
-		if *traceOut != "" {
-			traceFile, err = os.Create(*traceOut)
-			if err != nil {
-				fatalf("trace-out: %v", err)
-			}
-			topts.Sink = traceFile
-		}
-		tracer = telemetry.NewTracer(topts)
-		cfg.Tracer = tracer
-		cfg.Provenance = *provOn
-
-		if *solverBudget != "" {
-			budget, err := parseBudget(*solverBudget)
-			if err != nil {
-				fatalf("solver-budget: %v", err)
-			}
-			cfg.Solver = &core.BudgetedSolver{
-				Stages: []core.Stage{
-					{Name: *engName, Solver: cfg.Solver},
-					{Name: "heuristic", Solver: &core.Heuristic{}},
-				},
-				Budget: budget,
-				Tracer: tracer,
-			}
-		}
-	}
+	cfg.Metrics = telemetry.NewRegistry()
 
 	plane := obs.NewPlane(obs.Options{
 		Snapshot: cfg.Metrics.Snapshot,
-		Tracer:   tracer,
+		Tracer:   out.Tracer,
 	})
 	srv, err := serve.New(serve.Config{
 		Engine: cfg,
-		Shard:  engine.ShardConfig{Shards: *shards, NewSolver: newSolver},
+		Shard:  engine.ShardConfig{Shards: f.Shards, NewSolver: newSolver},
 		Clock:  serve.NewWallClock(*speed),
 		Plane:  plane,
 	})
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if err := srv.Listen(*addr); err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "rmserve: serving on %s (engine %s, platform %s, %d shard(s), speed %gx)\n",
-		srv.URL(), *engName, set.Platform.Spec(), *shards, *speed)
-	fmt.Fprintf(os.Stderr, "rmserve: POST %s/v1/requests, introspection at %s/statusz\n", srv.URL(), srv.URL())
+	fmt.Fprintf(stderr, "rmserve: serving on %s (engine %s, platform %s, %d shard(s), speed %gx)\n",
+		srv.URL(), f.Engine, set.Platform.Spec(), f.Shards, *speed)
+	fmt.Fprintf(stderr, "rmserve: POST %s/v1/requests, introspection at %s/statusz\n", srv.URL(), srv.URL())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	<-ctx.Done()
 	stop() // a second signal kills the process the default way
-	fmt.Fprintf(os.Stderr, "rmserve: signal received, draining (up to %v; signal again to abort)\n", *drainTimeout)
+	fmt.Fprintf(stderr, "rmserve: signal received, draining (up to %v; signal again to abort)\n", *drainTimeout)
 
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	shutdownErr := srv.Shutdown(dctx)
 	res := srv.Result()
-
-	if traceFile != nil && tracer != nil {
-		if err := tracer.Flush(); err != nil {
-			fatalf("trace-out: %v", err)
-		}
-		if err := traceFile.Close(); err != nil {
-			fatalf("trace-out: %v", err)
-		}
-		if err := tracer.Err(); err != nil {
-			fatalf("trace-out: event stream truncated: %v", err)
-		}
+	if err := out.Finish(res.Telemetry); err != nil {
+		return err
 	}
 
-	fmt.Printf("engine:           %s (speed %gx)\n", *engName, *speed)
-	fmt.Printf("platform:         %s\n", set.Platform.Spec())
-	if *shards > 1 {
-		fmt.Printf("scale-out:        %d shards\n", *shards)
+	scaleOut := ""
+	if f.Shards > 1 {
+		scaleOut = fmt.Sprintf("%d shards", f.Shards)
 	}
-	fmt.Printf("requests:         %d\n", res.Requests)
-	fmt.Printf("accepted:         %d\n", res.Accepted)
-	fmt.Printf("rejected:         %d (%.2f%%)\n", res.Rejected, res.RejectionPct())
-	fmt.Printf("total energy:     %.2f J\n", res.TotalEnergy)
-	fmt.Printf("migrations:       %d (%.2f J)\n", res.Migrations, res.MigrationEnergy)
-	fmt.Printf("makespan:         %.2f\n", res.MakeSpan)
-	fmt.Printf("deadline misses:  %d\n", res.DeadlineMisses)
-	if res.Telemetry != nil {
-		printReasonLine("admit reasons:    ", res.Telemetry.Counters, "sim.admit_reason.")
-		printReasonLine("reject reasons:   ", res.Telemetry.Counters, "sim.reject_reason.")
-		lat := res.Telemetry.Histograms["sim.solver_seconds"]
-		if lat.Count > 0 {
-			fmt.Printf("solver latency:   p50 %.1f µs, p95 %.1f µs, max %.1f µs (%d activations)\n",
-				lat.Quantile(0.50)*1e6, lat.Quantile(0.95)*1e6, lat.Max*1e6, lat.Count)
-		}
-	}
-	rep := plane.SLO().Report()
-	fmt.Printf("slo:              rejection %.1f%% of %.0f%% budget; miss %.2g%% of %.2g%% budget\n",
-		100*rep.TotalRejectionRate, 100*rep.RejectionTarget,
-		100*rep.TotalMissRate, 100*rep.MissTarget)
+	rmconf.Report(stdout, f.Engine, fmt.Sprintf("speed %gx", *speed), set.Platform.Spec(), scaleOut, res, plane)
 
 	if shutdownErr != nil {
-		fatalf("shutdown: %v", shutdownErr)
+		return fmt.Errorf("shutdown: %w", shutdownErr)
 	}
 	if err := srv.Err(); err != nil {
-		fatalf("engine: %v", err)
+		return fmt.Errorf("engine: %w", err)
 	}
 	if res.DeadlineMisses > 0 {
-		fatalf("deadline misses detected: resource-manager invariant broken")
+		return errors.New("deadline misses detected: resource-manager invariant broken")
 	}
-}
-
-func parseBudget(s string) (core.Budget, error) {
-	if s == "" {
-		return core.Budget{}, nil
-	}
-	if n, err := strconv.Atoi(s); err == nil {
-		if n <= 0 {
-			return core.Budget{}, fmt.Errorf("node budget %d must be positive", n)
-		}
-		return core.Budget{Nodes: n}, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return core.Budget{}, fmt.Errorf("%q is neither a node count nor a duration", s)
-	}
-	if d <= 0 {
-		return core.Budget{}, fmt.Errorf("wall budget %v must be positive", d)
-	}
-	return core.Budget{Wall: d}, nil
-}
-
-// printReasonLine renders one decision-reason histogram from the counters
-// under prefix, sorted by reason; nothing is printed when empty.
-func printReasonLine(label string, counters map[string]int64, prefix string) {
-	var reasons []string
-	for name := range counters {
-		if strings.HasPrefix(name, prefix) {
-			reasons = append(reasons, strings.TrimPrefix(name, prefix))
-		}
-	}
-	if len(reasons) == 0 {
-		return
-	}
-	sort.Strings(reasons)
-	parts := make([]string, len(reasons))
-	for i, r := range reasons {
-		parts[i] = fmt.Sprintf("%s %d", r, counters[prefix+r])
-	}
-	fmt.Printf("%s%s\n", label, strings.Join(parts, ", "))
-}
-
-// flagWasSet reports whether the named flag was given explicitly on the
-// command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rmserve: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

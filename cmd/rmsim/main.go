@@ -26,346 +26,150 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
-	"sort"
-	"strconv"
-	"strings"
-	"syscall"
-	"time"
 
-	"predrm/internal/core"
-	"predrm/internal/exact"
 	"predrm/internal/faultinject"
 	"predrm/internal/gantt"
-	"predrm/internal/obs"
-	"predrm/internal/platform"
 	"predrm/internal/predict"
+	"predrm/internal/rmconf"
 	"predrm/internal/rng"
-	"predrm/internal/sched"
 	"predrm/internal/sim"
-	"predrm/internal/task"
 	"predrm/internal/telemetry"
 	"predrm/internal/trace"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	return rmconf.Exit("rmsim", stderr, simulate(args, stdout, stderr))
+}
+
+func simulate(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("rmsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var f rmconf.Flags
+	f.Register(fs, "engine", "warmstart", "solver-budget", "taskset", "platform", "seed", "types",
+		"shards", "work-conserving", "trace-out", "provenance", "metrics-out", "ops-addr", "ops-linger",
+		"cpuprofile", "memprofile")
 	var (
-		tracePath = flag.String("trace", "", "trace JSON file (empty: generate)")
-		setPath   = flag.String("taskset", "", "task-set JSON file written by tracegen (empty: generate from -seed)")
-		engine    = flag.String("engine", "heuristic", "mapping engine: heuristic, greedy, or milp")
-		warmStart = flag.Bool("warmstart", true, "reuse the previous activation's work: the milp engine repairs its last mapping into a pruning bound, the heuristic engines cache EDF probe verdicts across activations; decisions are identical either way")
-		platSpec  = flag.String("platform", "", "platform spec like 5c1g or 64c8g (empty: the paper's 5c1g default; invalid with -taskset, which carries its platform)")
-		shards    = flag.Int("shards", 1, "partition the platform into this many shards, each admitting against only its own resources (scale-out mode)")
-		batchWin  = flag.Float64("batch-window", 0, "collect arrivals for this many time units and admit each window as one batch epoch (0: the paper's one-by-one protocol)")
-		shardWork = flag.Int("shard-workers", 0, "concurrent shard solves per batch epoch (0: min(shards, GOMAXPROCS))")
-		usePred   = flag.Bool("predict", false, "enable the oracle predictor")
-		accuracy  = flag.Float64("accuracy", 1.0, "oracle task-type accuracy in [0,1]")
-		timeErr   = flag.Float64("time-error", 0, "oracle arrival-time normalized RMSE")
-		overhead  = flag.Float64("overhead", 0, "prediction overhead in time units")
-		seed      = flag.Uint64("seed", 1, "workload seed")
-		length    = flag.Int("len", 500, "generated trace length")
-		group     = flag.String("group", "VT", "deadline group: VT or LT")
-		meanIA    = flag.Float64("interarrival", 3.0, "generated mean interarrival")
-		types     = flag.Int("types", 100, "task types")
-		workCons  = flag.Bool("work-conserving", false, "ignore predicted-task reservations between activations")
-		verbose   = flag.Bool("v", false, "print per-request outcomes")
-		showGantt = flag.Int("gantt", 0, "render the first N time units of the executed schedule")
-
-		solverBudget = flag.String("solver-budget", "", "per-activation solver budget: a node count (e.g. 20000) or a wall duration (e.g. 5ms); enables the budgeted fallback chain")
-		faultPlan    = flag.String("fault-plan", "", "deterministic fault plan, e.g. seed=7,solver-error=0.2,latency-rate=0.1,latency=0.5 (see internal/faultinject); enables the fallback chain")
-
-		traceOut   = flag.String("trace-out", "", "write the structured event stream as JSONL to this file")
-		provOn     = flag.Bool("provenance", false, "record decision provenance (per-candidate verdicts, solver-chain hops) into the event stream; requires -trace-out or -ops-addr")
-		metricsOut = flag.String("metrics-out", "", "write the metrics snapshot as JSON to this file")
-		opsAddr    = flag.String("ops-addr", "", "serve the live introspection plane (/metrics, /statusz, /trace/tail, pprof) on this address (:0 picks a free port)")
-		opsLinger  = flag.Duration("ops-linger", 0, "keep the ops server up this long after the run finishes (requires -ops-addr)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile taken after the simulation to this file")
+		tracePath = fs.String("trace", "", "trace JSON file (empty: generate)")
+		batchWin  = fs.Float64("batch-window", 0, "collect arrivals for this many time units and admit each window as one batch epoch (0: the paper's one-by-one protocol)")
+		shardWork = fs.Int("shard-workers", 0, "concurrent shard solves per batch epoch (0: min(shards, GOMAXPROCS))")
+		usePred   = fs.Bool("predict", false, "enable the oracle predictor")
+		accuracy  = fs.Float64("accuracy", 1.0, "oracle task-type accuracy in [0,1]")
+		timeErr   = fs.Float64("time-error", 0, "oracle arrival-time normalized RMSE")
+		overhead  = fs.Float64("overhead", 0, "prediction overhead in time units")
+		length    = fs.Int("len", 500, "generated trace length")
+		group     = fs.String("group", "VT", "deadline group: VT or LT")
+		meanIA    = fs.Float64("interarrival", 3.0, "generated mean interarrival")
+		verbose   = fs.Bool("v", false, "print per-request outcomes")
+		showGantt = fs.Int("gantt", 0, "render the first N time units of the executed schedule")
+		faultPlan = fs.String("fault-plan", "", "deterministic fault plan, e.g. seed=7,solver-error=0.2,latency-rate=0.1,latency=0.5 (see internal/faultinject); enables the fallback chain")
 	)
-	flag.Parse()
-	validateFlags(*usePred, *accuracy, *timeErr, *overhead, *length, *types, *meanIA, *showGantt, *group)
-	if *opsAddr == "" && flagWasSet("ops-linger") {
-		fatalf("-ops-linger has no effect without -ops-addr")
+	if err := rmconf.Parse(fs, args); err != nil {
+		return err
 	}
-	if *shards < 1 {
-		fatalf("-shards %d must be at least 1", *shards)
-	}
-	if *batchWin < 0 {
-		fatalf("-batch-window %g must be non-negative", *batchWin)
-	}
-	if *shards == 1 && flagWasSet("shard-workers") {
-		fatalf("-shard-workers has no effect without -shards > 1")
-	}
-	if *shards > 1 {
-		// Multi-shard engines reject globally-stateful features (see
-		// engine.NewSharded); fail on the flag rather than deep in setup.
-		for _, bad := range []struct {
-			set  bool
-			name string
-		}{
-			{*usePred, "predict"},
-			{*provOn, "provenance"},
-			{*traceOut != "", "trace-out"},
-			{*opsAddr != "", "ops-addr"},
-			{*faultPlan != "", "fault-plan"},
-		} {
-			if bad.set {
-				fatalf("-%s is not supported with -shards > 1 (its state is global; see DESIGN.md §12)", bad.name)
-			}
-		}
+	tight := trace.VeryTight
+	switch *group {
+	case "VT", "vt":
+	case "LT", "lt":
+		tight = trace.LessTight
+	default:
+		return fmt.Errorf("unknown deadline group %q (want VT or LT)", *group)
 	}
 
-	root := rng.New(*seed)
-	var (
-		plat *platform.Platform
-		set  *task.Set
-		err  error
-	)
-	if *setPath != "" {
-		if *platSpec != "" {
-			fatalf("-platform has no effect with -taskset (the task set carries its platform)")
-		}
-		set, err = task.ReadFile(*setPath)
-		if err != nil {
-			fatalf("load task set: %v", err)
-		}
-		plat = set.Platform
-		root.Split() // keep the trace stream aligned with the generate path
-	} else {
-		plat = platform.Default()
-		if *platSpec != "" {
-			plat, err = platform.Parse(*platSpec)
-			if err != nil {
-				fatalf("platform: %v", err)
-			}
-		}
-		tcfg := task.DefaultGenConfig()
-		tcfg.NumTypes = *types
-		set, err = task.Generate(plat, tcfg, root.Split())
-		if err != nil {
-			fatalf("task set: %v", err)
-		}
+	root := rng.New(f.Seed)
+	set, err := f.TaskSet(root)
+	if err != nil {
+		return err
 	}
-
 	var tr *trace.Trace
 	if *tracePath != "" {
-		tr, err = trace.ReadFile(*tracePath)
-		if err != nil {
-			fatalf("load trace: %v", err)
+		if tr, err = trace.ReadFile(*tracePath); err != nil {
+			return fmt.Errorf("load trace: %w", err)
 		}
 	} else {
-		tight := trace.VeryTight
-		if *group == "LT" || *group == "lt" {
-			tight = trace.LessTight
-		}
 		gcfg := trace.GenConfig{
 			Length:           *length,
 			InterarrivalMean: *meanIA,
 			InterarrivalStd:  *meanIA / 3,
 			Tightness:        tight,
 		}
-		tr, err = trace.Generate(set, gcfg, root.Split())
-		if err != nil {
-			fatalf("generate trace: %v", err)
+		if tr, err = trace.Generate(set, gcfg, root.Split()); err != nil {
+			return fmt.Errorf("generate trace: %w", err)
 		}
 	}
 
-	cfg := sim.Config{
-		Platform:        plat,
-		TaskSet:         set,
-		WorkConserving:  *workCons,
-		RecordExecution: *showGantt > 0,
+	out, err := f.Open("rmsim", stderr, f.OpsAddr != "")
+	if err != nil {
+		return err
 	}
-	// newSolver builds one solver instance; shards cannot share solver
-	// state, so the sharded runner calls it once per shard (each with its
-	// own warm cache and, under -solver-budget, its own fallback chain).
-	newSolver := func() core.Solver {
-		var warmCache *sched.FeasCache
-		if *warmStart && *engine != "milp" {
-			warmCache = sched.NewFeasCache(0)
-		}
-		var s core.Solver
-		switch *engine {
-		case "heuristic":
-			s = &core.Heuristic{Cache: warmCache}
-		case "greedy":
-			s = &core.Heuristic{Greedy: true, Cache: warmCache}
-		case "milp":
-			s = &exact.Optimal{WarmStart: *warmStart}
-		default:
-			fatalf("unknown engine %q", *engine)
-		}
-		if *shards > 1 && *solverBudget != "" {
-			budget, err := parseBudget(*solverBudget)
-			if err != nil {
-				fatalf("solver-budget: %v", err)
-			}
-			s = &core.BudgetedSolver{
-				Stages: []core.Stage{
-					{Name: *engine, Solver: s},
-					{Name: "heuristic", Solver: &core.Heuristic{}},
-				},
-				Budget: budget,
-			}
-		}
-		return s
+	defer out.Close()
+	tracer := out.Tracer
+	cfg, newSolver, err := f.EngineConfig(set, tracer)
+	if err != nil {
+		return err
 	}
-	if *shards == 1 {
-		cfg.Solver = newSolver()
-	}
+	cfg.RecordExecution = *showGantt > 0
 	if *usePred {
 		o, err := predict.NewOracle(tr, predict.OracleConfig{
 			TypeAccuracy: *accuracy,
 			TimeError:    *timeErr,
 			Overhead:     *overhead,
 			NumTypes:     set.Len(),
-			Seed:         *seed + 17,
+			Seed:         f.Seed + 17,
 		})
 		if err != nil {
-			fatalf("oracle: %v", err)
+			return fmt.Errorf("oracle: %w", err)
 		}
 		cfg.Predictor = o
 	}
-
-	var (
-		tracer    *telemetry.Tracer
-		traceFile *os.File
-	)
-	if *traceOut != "" {
-		traceFile, err = os.Create(*traceOut)
-		if err != nil {
-			fatalf("trace-out: %v", err)
-		}
-		tracer = telemetry.NewTracer(telemetry.TracerOptions{Sink: traceFile})
-		cfg.Tracer = tracer
-	}
-	if *opsAddr != "" && tracer == nil {
-		// The introspection plane tails the event stream live; without
-		// -trace-out a ring-only tracer backs /trace/tail.
-		tracer = telemetry.NewTracer(telemetry.TracerOptions{})
-		cfg.Tracer = tracer
-	}
-	if *provOn {
-		if tracer == nil {
-			fatalf("-provenance has no effect without -trace-out or -ops-addr (decision records ride the event stream)")
-		}
-		cfg.Provenance = true
-	}
-	resilient := *solverBudget != "" || *faultPlan != ""
-	if *metricsOut != "" || resilient || *opsAddr != "" {
+	resilient := f.SolverBudget != "" || *faultPlan != ""
+	if f.MetricsOut != "" || resilient || f.OpsAddr != "" {
 		// The resilience chain always collects metrics so the degraded-mode
 		// summary below can report what actually happened; the ops server
 		// renders the same registry on /metrics.
 		cfg.Metrics = telemetry.NewRegistry()
 	}
-	if resilient && *shards == 1 {
-		// With -shards > 1 the per-shard factory above owns the budget
-		// wiring (and -fault-plan was rejected at flag validation).
-		budget, err := parseBudget(*solverBudget)
+	if *faultPlan != "" {
+		// -fault-plan is refused at -shards > 1, so this is the one solver.
+		plan, err := faultinject.ParsePlan(*faultPlan)
 		if err != nil {
-			fatalf("solver-budget: %v", err)
+			return fmt.Errorf("fault-plan: %w", err)
 		}
-		primary := cfg.Solver
-		if *faultPlan != "" {
-			plan, err := faultinject.ParsePlan(*faultPlan)
-			if err != nil {
-				fatalf("fault-plan: %v", err)
-			}
-			p := &plan
-			primary = p.Solver(primary, tracer)
-			cfg.OverheadHook = p.Hook(tracer, cfg.Metrics)
-			if cfg.Predictor != nil {
-				cfg.Predictor = p.Predictor(cfg.Predictor, tracer, cfg.Metrics)
-			}
-		}
-		cfg.Solver = &core.BudgetedSolver{
-			Stages: []core.Stage{
-				{Name: *engine, Solver: primary},
-				{Name: "heuristic", Solver: &core.Heuristic{}},
-			},
-			Budget: budget,
-			Tracer: tracer,
+		budget, _ := rmconf.ParseBudget(f.SolverBudget) // EngineConfig checked it
+		primary, _ := rmconf.NewSolver(f.Engine, f.WarmStart, 0)
+		cfg.Solver = rmconf.Chain(f.Engine, plan.Solver(primary, tracer), budget, tracer)
+		cfg.OverheadHook = plan.Hook(tracer, cfg.Metrics)
+		if cfg.Predictor != nil {
+			cfg.Predictor = plan.Predictor(cfg.Predictor, tracer, cfg.Metrics)
 		}
 	}
-	var (
-		plane  *obs.Plane
-		opsSrv *obs.Server
-	)
-	if *opsAddr != "" {
-		plane = obs.NewPlane(obs.Options{
-			Snapshot: cfg.Metrics.Snapshot,
-			Tracer:   tracer,
-		})
+	plane, err := out.ServeOps(cfg.Metrics.Snapshot)
+	if err != nil {
+		return err
+	}
+	if plane != nil {
 		cfg.StateProbe = plane.Probe
-		opsSrv, err = obs.Serve(*opsAddr, plane)
-		if err != nil {
-			fatalf("ops-addr: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "rmsim: ops server on %s (try %s/statusz)\n", opsSrv.URL(), opsSrv.URL())
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatalf("cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("cpuprofile: %v", err)
-		}
 	}
 
 	res, err := sim.RunSharded(cfg, sim.ShardConfig{
-		Shards:      *shards,
+		Shards:      f.Shards,
 		BatchWindow: *batchWin,
 		Workers:     *shardWork,
 		NewSolver:   newSolver,
 	}, tr)
-	if *cpuProfile != "" {
-		pprof.StopCPUProfile()
-	}
 	if err != nil {
-		fatalf("simulate: %v", err)
+		return fmt.Errorf("simulate: %w", err)
 	}
-	if traceFile != nil {
-		// A sink write failure means the JSONL stream on disk is silently
-		// truncated; surface it rather than shipping a partial trace.
-		if err := tracer.Flush(); err != nil {
-			fatalf("trace-out: %v", err)
-		}
-		if err := traceFile.Close(); err != nil {
-			fatalf("trace-out: %v", err)
-		}
-		if err := tracer.Err(); err != nil {
-			fatalf("trace-out: event stream truncated: %v", err)
-		}
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatalf("memprofile: %v", err)
-		}
-		runtime.GC() // settle the heap so the profile reflects retained memory
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatalf("memprofile: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("memprofile: %v", err)
-		}
-	}
-	if *metricsOut != "" {
-		buf, err := json.MarshalIndent(res.Telemetry, "", "  ")
-		if err != nil {
-			fatalf("metrics-out: %v", err)
-		}
-		if err := os.WriteFile(*metricsOut, append(buf, '\n'), 0o644); err != nil {
-			fatalf("metrics-out: %v", err)
-		}
+	if err := out.Finish(res.Telemetry); err != nil {
+		return err
 	}
 
 	if *verbose {
@@ -374,199 +178,47 @@ func main() {
 			if j.Accepted {
 				status = fmt.Sprintf("finished %.3f", j.FinishTime)
 			}
-			fmt.Printf("req %3d type %3d arr %9.3f dl %9.3f  %s\n",
+			fmt.Fprintf(stdout, "req %3d type %3d arr %9.3f dl %9.3f  %s\n",
 				j.ID, j.Type, j.Arrival, j.AbsDeadline, status)
 		}
 	}
-	fmt.Printf("engine:           %s (prediction %v)\n", *engine, *usePred)
-	fmt.Printf("platform:         %s\n", plat.Spec())
-	if *shards > 1 || *batchWin > 0 {
-		fmt.Printf("scale-out:        %d shard(s), batch window %g\n", *shards, *batchWin)
+	scaleOut := ""
+	if f.Shards > 1 || *batchWin > 0 {
+		scaleOut = fmt.Sprintf("%d shard(s), batch window %g", f.Shards, *batchWin)
 	}
-	fmt.Printf("requests:         %d\n", res.Requests)
-	fmt.Printf("accepted:         %d\n", res.Accepted)
-	fmt.Printf("rejected:         %d (%.2f%%)\n", res.Rejected, res.RejectionPct())
-	fmt.Printf("total energy:     %.2f J\n", res.TotalEnergy)
-	fmt.Printf("migrations:       %d (%.2f J)\n", res.Migrations, res.MigrationEnergy)
-	fmt.Printf("makespan:         %.2f\n", res.MakeSpan)
-	fmt.Printf("deadline misses:  %d\n", res.DeadlineMisses)
-	if res.Telemetry != nil {
-		printReasonLine("admit reasons:    ", res.Telemetry.Counters, "sim.admit_reason.")
-		printReasonLine("reject reasons:   ", res.Telemetry.Counters, "sim.reject_reason.")
-	}
-	if res.Telemetry != nil {
-		lat := res.Telemetry.Histograms["sim.solver_seconds"]
-		fmt.Printf("solver latency:   p50 %.1f µs, p95 %.1f µs, max %.1f µs (%d activations)\n",
-			lat.Quantile(0.50)*1e6, lat.Quantile(0.95)*1e6, lat.Max*1e6, lat.Count)
-		c := res.Telemetry.Counters
-		if probes := c["exact.cache.hits"] + c["exact.cache.misses"]; probes > 0 {
-			fmt.Printf("feascache:        %.1f%% hit rate (%d hits, %d misses)\n",
-				100*float64(c["exact.cache.hits"])/float64(probes),
-				c["exact.cache.hits"], c["exact.cache.misses"])
-		}
-		if probes := c["core.cache.hits"] + c["core.cache.misses"]; probes > 0 {
-			fmt.Printf("feascache:        %.1f%% hit rate (%d hits, %d misses; heuristic probe cache)\n",
-				100*float64(c["core.cache.hits"])/float64(probes),
-				c["core.cache.hits"], c["core.cache.misses"])
-		}
-		if attempts := c["exact.warmstart.attempts"]; attempts > 0 {
-			fmt.Printf("warmstart:        %.1f%% seed-feasible (%d/%d repairs), %d bound cuts\n",
-				100*float64(c["exact.warmstart.seeded"])/float64(attempts),
-				c["exact.warmstart.seeded"], attempts, c["exact.warmstart.bound_cuts"])
-		}
-	}
+	rmconf.Report(stdout, f.Engine, fmt.Sprintf("prediction %v", *usePred), set.Platform.Spec(), scaleOut, res, plane)
 	if plane != nil {
-		rep := plane.SLO().Report()
-		fmt.Printf("slo:              rejection %.1f%% of %.0f%% budget; miss %.2g%% of %.2g%% budget\n",
-			100*rep.TotalRejectionRate, 100*rep.RejectionTarget,
-			100*rep.TotalMissRate, 100*rep.MissTarget)
-		for _, w := range rep.Windows {
-			fmt.Printf("slo window %-6g rejection burn %.2f, miss burn %.2f\n",
+		for _, w := range plane.SLO().Report().Windows {
+			fmt.Fprintf(stdout, "slo window %-6g rejection burn %.2f, miss burn %.2f\n",
 				w.Window, w.RejectionBurn, w.MissBurn)
-		}
-	}
-	if tracer != nil {
-		if n := tracer.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr,
-				"rmsim: warning: event ring overflowed, %d event(s) lost from the in-memory buffer (-trace-out streams are unaffected)\n", n)
 		}
 	}
 	if resilient && res.Telemetry != nil {
 		c := res.Telemetry.Counters
-		fmt.Printf("resilience:       %d fallbacks (%d stage errors, %d budget exhaustions), %d reject-only\n",
+		fmt.Fprintf(stdout, "resilience:       %d fallbacks (%d stage errors, %d budget exhaustions), %d reject-only\n",
 			c["resilience.fallbacks"], c["resilience.stage_errors"],
 			c["resilience.budget_exhausted"], c["resilience.reject_only"])
 		if n := c["faultinject.solver_errors"] + c["faultinject.latency_spikes"] +
 			c["faultinject.predictor_outages"] + c["faultinject.predictor_corruptions"]; n > 0 {
-			fmt.Printf("faults injected:  %d (%d solver, %d latency, %d outage, %d corrupt)\n", n,
+			fmt.Fprintf(stdout, "faults injected:  %d (%d solver, %d latency, %d outage, %d corrupt)\n", n,
 				c["faultinject.solver_errors"], c["faultinject.latency_spikes"],
 				c["faultinject.predictor_outages"], c["faultinject.predictor_corruptions"])
 		}
 	}
 	if *showGantt > 0 {
 		opening := gantt.Clip(res.Execution, 0, float64(*showGantt))
-		if chart, err := gantt.New(plat, opening); err == nil {
-			fmt.Printf("\nexecuted schedule, t in [0, %d):\n", *showGantt)
-			if err := chart.Render(os.Stdout, 100); err != nil {
-				fatalf("render: %v", err)
+		if chart, err := gantt.New(set.Platform, opening); err == nil {
+			fmt.Fprintf(stdout, "\nexecuted schedule, t in [0, %d):\n", *showGantt)
+			if err := chart.Render(stdout, 100); err != nil {
+				return fmt.Errorf("render: %w", err)
 			}
 		}
 	}
-	if opsSrv != nil {
-		if *opsLinger > 0 {
-			// Interruptible linger: Ctrl-C must still reach opsSrv.Close so
-			// open /trace/tail streams get their clean terminal event
-			// instead of dying with the process.
-			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-			fmt.Fprintf(os.Stderr, "rmsim: ops server lingering for %v on %s (Ctrl-C to stop)\n", *opsLinger, opsSrv.URL())
-			select {
-			case <-time.After(*opsLinger):
-			case <-ctx.Done():
-				fmt.Fprintln(os.Stderr, "rmsim: interrupted, closing ops server")
-			}
-			stop()
-		}
-		if err := opsSrv.Close(); err != nil {
-			fatalf("ops-addr: %v", err)
-		}
+	if err := out.CloseOps(); err != nil {
+		return err
 	}
 	if res.DeadlineMisses > 0 {
-		fatalf("deadline misses detected: resource-manager invariant broken")
+		return errors.New("deadline misses detected: resource-manager invariant broken")
 	}
-}
-
-// validateFlags rejects combinations the simulation would otherwise
-// silently misinterpret: prediction-shaping flags are errors without
-// -predict (they would be read but have no effect), and workload
-// parameters must stay in their meaningful ranges.
-func validateFlags(usePred bool, accuracy, timeErr, overhead float64, length, types int, meanIA float64, ganttLen int, group string) {
-	if !usePred {
-		for _, name := range []string{"accuracy", "time-error", "overhead"} {
-			if flagWasSet(name) {
-				fatalf("-%s has no effect without -predict", name)
-			}
-		}
-	}
-	switch {
-	case accuracy < 0 || accuracy > 1:
-		fatalf("-accuracy %g outside [0,1]", accuracy)
-	case timeErr < 0:
-		fatalf("-time-error %g must be non-negative", timeErr)
-	case overhead < 0:
-		fatalf("-overhead %g must be non-negative", overhead)
-	case length <= 0:
-		fatalf("-len %d must be positive", length)
-	case types <= 0:
-		fatalf("-types %d must be positive", types)
-	case meanIA <= 0:
-		fatalf("-interarrival %g must be positive", meanIA)
-	case ganttLen < 0:
-		fatalf("-gantt %d must be non-negative", ganttLen)
-	}
-	switch group {
-	case "VT", "vt", "LT", "lt":
-	default:
-		fatalf("unknown deadline group %q (want VT or LT)", group)
-	}
-}
-
-// parseBudget reads the -solver-budget syntax: an integer is a node
-// budget, a Go duration (5ms, 1s) a wall-clock budget. Empty means no
-// bound (the chain still absorbs errors).
-func parseBudget(s string) (core.Budget, error) {
-	if s == "" {
-		return core.Budget{}, nil
-	}
-	if n, err := strconv.Atoi(s); err == nil {
-		if n <= 0 {
-			return core.Budget{}, fmt.Errorf("node budget %d must be positive", n)
-		}
-		return core.Budget{Nodes: n}, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return core.Budget{}, fmt.Errorf("%q is neither a node count nor a duration", s)
-	}
-	if d <= 0 {
-		return core.Budget{}, fmt.Errorf("wall budget %v must be positive", d)
-	}
-	return core.Budget{Wall: d}, nil
-}
-
-// printReasonLine renders one decision-reason histogram ("plain 12,
-// prediction_dropped 3") from the counters under prefix, sorted by reason;
-// nothing is printed when the histogram is empty.
-func printReasonLine(label string, counters map[string]int64, prefix string) {
-	var reasons []string
-	for name := range counters {
-		if strings.HasPrefix(name, prefix) {
-			reasons = append(reasons, strings.TrimPrefix(name, prefix))
-		}
-	}
-	if len(reasons) == 0 {
-		return
-	}
-	sort.Strings(reasons)
-	parts := make([]string, len(reasons))
-	for i, r := range reasons {
-		parts[i] = fmt.Sprintf("%s %d", r, counters[prefix+r])
-	}
-	fmt.Printf("%s%s\n", label, strings.Join(parts, ", "))
-}
-
-// flagWasSet reports whether the named flag was given explicitly on the
-// command line (flag.Visit only walks flags that were set).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rmsim: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

@@ -50,7 +50,9 @@ func main() {
 		verbose   = flag.Bool("v", false, "print each decision in fire mode")
 	)
 	flag.Parse()
-	if *fireURL == "" && (*replay != "" || flagWasSet("fire-speed") || *verbose) {
+	given := map[string]bool{} // flags set explicitly on the command line
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if *fireURL == "" && (*replay != "" || given["fire-speed"] || *verbose) {
 		fatalf("-replay, -fire-speed and -v only apply with -fire")
 	}
 	if *fireSpeed <= 0 {
@@ -65,7 +67,7 @@ func main() {
 		return
 	}
 	if *rate != 0 {
-		if flagWasSet("interarrival") || flagWasSet("interarrival-std") {
+		if given["interarrival"] || given["interarrival-std"] {
 			fatalf("-rate and -interarrival/-interarrival-std are two spellings of the same knob; give one")
 		}
 		if *rate < 0 {
@@ -156,18 +158,6 @@ func validateFlags(count, length, types int, meanIA, stdIA float64) {
 	case stdIA < 0:
 		fatalf("-interarrival-std %g must be non-negative", stdIA)
 	}
-}
-
-// flagWasSet reports whether the named flag was given explicitly on the
-// command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 func fatalf(format string, args ...any) {

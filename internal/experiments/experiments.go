@@ -13,10 +13,10 @@ import (
 	"sync"
 
 	"predrm/internal/core"
-	"predrm/internal/exact"
 	"predrm/internal/faultinject"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
+	"predrm/internal/rmconf"
 	"predrm/internal/rng"
 	"predrm/internal/sched"
 	"predrm/internal/sim"
@@ -78,8 +78,11 @@ type Config struct {
 	// exact solver repairs its last mapping into a warm pruning bound
 	// (exact.Optimal.WarmStart) and the heuristic routes its EDF probes
 	// through a cross-activation feasibility cache (core.Heuristic.Cache).
-	// Both are decision-neutral — results are bit-identical either way
-	// (TestWarmStartMatchesCold) — so this is purely a speed knob, on by
+	// Both are decision-neutral for every solve that completes — results
+	// are bit-identical either way (TestWarmStartMatchesCold) — but warm
+	// cuts move where a node limit truncates the exact search, so
+	// truncated solves, and everything downstream of them, may differ
+	// (DESIGN.md §10.2; the fault-sweep grid is one such case). On by
 	// default via DefaultConfig and the cmd flags.
 	WarmStart bool
 	// Workers bounds concurrent trace simulations (0 = GOMAXPROCS).
@@ -138,6 +141,9 @@ const (
 	engineHeuristic
 	engineGreedy // ablation A1
 )
+
+// solverNames maps each engine to its rmconf.NewSolver name.
+var solverNames = [...]string{engineExact: "milp", engineHeuristic: "heuristic", engineGreedy: "greedy"}
 
 func (e engine) String() string {
 	switch e {
@@ -243,22 +249,11 @@ func (g *grid) misses() int {
 // newSolver builds a fresh solver per simulation (solvers keep scratch
 // state and are not safe for concurrent sharing).
 func (c *Config) newSolver(e engine) core.Solver {
-	switch e {
-	case engineExact:
-		return &exact.Optimal{NodeLimit: c.ExactNodeLimit, WarmStart: c.WarmStart}
-	case engineGreedy:
-		h := &core.Heuristic{Greedy: true}
-		if c.WarmStart {
-			h.Cache = sched.NewFeasCache(0)
-		}
-		return h
-	default:
-		h := &core.Heuristic{}
-		if c.WarmStart {
-			h.Cache = sched.NewFeasCache(0)
-		}
-		return h
+	s, err := rmconf.NewSolver(solverNames[e], c.WarmStart, c.ExactNodeLimit)
+	if err != nil {
+		panic(err) // every engine constant has a name in solverNames
 	}
+	return s
 }
 
 // runGrid simulates every variant over the same Traces traces of the given

@@ -12,7 +12,6 @@ import (
 	"predrm/internal/metrics"
 	"predrm/internal/platform"
 	"predrm/internal/rng"
-	"predrm/internal/sched"
 	"predrm/internal/sim"
 	"predrm/internal/task"
 	"predrm/internal/telemetry"
@@ -119,13 +118,7 @@ func ScaleSweep(cfg Config, specs []string) (*ScaleSweepResult, error) {
 				}, sim.ShardConfig{
 					Shards:      mode.shards,
 					BatchWindow: mode.window,
-					NewSolver: func() core.Solver {
-						s := &core.Heuristic{}
-						if cfg.WarmStart {
-							s.Cache = sched.NewFeasCache(0)
-						}
-						return s
-					},
+					NewSolver:   func() core.Solver { return cfg.newSolver(engineHeuristic) },
 				}, tr)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %s %s trace %d: %w", spec, mode.name, ti, err)

@@ -109,3 +109,14 @@ func (t *Table) WriteCSV(w io.Writer) error {
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
+
+// Tables returns an experiment result's printable tables in print order.
+func (r *MotivationalResult) Tables() []*Table { return []*Table{r.Table} }
+func (r *Sec52Result) Tables() []*Table        { return []*Table{r.Table} }
+func (r *ImpactResult) Tables() []*Table       { return []*Table{r.RejectionTable, r.EnergyTable} }
+func (r *SweepResult) Tables() []*Table        { return []*Table{r.Table} }
+func (r *AblationResult) Tables() []*Table     { return []*Table{r.Table} }
+func (r *LookaheadResult) Tables() []*Table    { return []*Table{r.Table} }
+func (r *OnlineResult) Tables() []*Table       { return []*Table{r.Table} }
+func (r *LoadSurfaceResult) Tables() []*Table  { return []*Table{r.Table} }
+func (r *ScaleSweepResult) Tables() []*Table   { return []*Table{r.Table} }

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// The Makefile's test gates (faultcheck, obscheck, explaincheck) select
+// The Makefile's CI-leg gates (warmcheck, shardcheck, servecheck) select
 // their tests with -run regexes. A renamed test silently hollows out a
 // gate: `go test -run NoSuchTest` exits zero having run nothing. This
 // meta-test keeps every gate honest by asserting each |-alternative of
@@ -102,7 +102,7 @@ func TestGateRegexesMatchTests(t *testing.T) {
 			}
 		}
 	}
-	// faultcheck, obscheck, and explaincheck each carry a quoted -run.
+	// warmcheck, shardcheck and servecheck each carry a quoted -run.
 	if gates < 3 {
 		t.Fatalf("found %d quoted -run gate(s) in the Makefile, want at least 3", gates)
 	}

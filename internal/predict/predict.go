@@ -95,13 +95,14 @@ func NewOracle(tr *trace.Trace, cfg OracleConfig) (*Oracle, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, errors.New("predict: oracle needs a non-empty trace")
 	}
-	if cfg.TypeAccuracy < 0 || cfg.TypeAccuracy > 1 {
+	// Written as negated ranges so NaN fails every check.
+	if !(cfg.TypeAccuracy >= 0 && cfg.TypeAccuracy <= 1) {
 		return nil, errors.New("predict: TypeAccuracy outside [0,1]")
 	}
-	if cfg.TimeError < 0 {
+	if !(cfg.TimeError >= 0) {
 		return nil, errors.New("predict: negative TimeError")
 	}
-	if cfg.Overhead < 0 {
+	if !(cfg.Overhead >= 0) {
 		return nil, errors.New("predict: negative Overhead")
 	}
 	if cfg.NumTypes <= 0 {

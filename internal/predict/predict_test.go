@@ -126,6 +126,9 @@ func TestOracleOverheadAndValidation(t *testing.T) {
 		{TypeAccuracy: 1, TimeError: -1, NumTypes: 5},
 		{TypeAccuracy: 1, Overhead: -1, NumTypes: 5},
 		{TypeAccuracy: 1},
+		{TypeAccuracy: math.NaN(), NumTypes: 5},
+		{TypeAccuracy: 1, TimeError: math.NaN(), NumTypes: 5},
+		{TypeAccuracy: 1, Overhead: math.NaN(), NumTypes: 5},
 	}
 	for i, cfg := range bad {
 		if _, err := NewOracle(tr, cfg); err == nil {

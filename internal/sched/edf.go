@@ -39,19 +39,29 @@ type Segment struct {
 // predicted task starting at max(s_p, q_i) when its deadline is latest, and
 // the two-chunk preemption split otherwise.
 //
-// The returned segments describe the schedule even when infeasible (up to
-// the point each entry completes); feasible is false as soon as any entry
-// finishes past its deadline.
+// The returned segments describe the schedule even when infeasible (every
+// entry runs to completion); feasible is false when any entry finishes past
+// its deadline.
 func SimulateEDF(preemptable bool, t float64, entries []Entry) (segs []Segment, feasible bool) {
-	n := len(entries)
-	if n == 0 {
+	if len(entries) == 0 {
 		return nil, true
 	}
-	rem := make([]float64, n)
+	feasible = runEDF(preemptable, t, entries, make([]float64, len(entries)), &segs)
+	return segs, feasible
+}
+
+// runEDF is the one EDF event loop behind SimulateEDF and the feasibility
+// probes. rem must have capacity for len(entries) elements; it is
+// overwritten with the remaining work. With segs nil the loop only decides
+// feasibility and returns at the first miss; otherwise it appends the
+// schedule's segments to *segs (merging a segment into its predecessor
+// when the same entry continues) and runs to completion.
+func runEDF(preemptable bool, t float64, entries []Entry, rem []float64, segs *[]Segment) bool {
+	rem = rem[:len(entries)] // equal lengths let the compiler drop bounds checks
 	for i, e := range entries {
 		rem[i] = e.Rem
 	}
-	feasible = true
+	feasible := true
 	now := t
 	var running = Unmapped // entry currently committed on a non-preemptable resource
 	for {
@@ -96,7 +106,7 @@ func SimulateEDF(preemptable bool, t float64, entries []Entry) (segs []Segment, 
 				}
 			}
 			if !found {
-				return segs, feasible
+				return feasible
 			}
 			now = next
 			continue
@@ -114,12 +124,13 @@ func SimulateEDF(preemptable bool, t float64, entries []Entry) (segs []Segment, 
 		} else {
 			running = pick
 		}
-		ran := until - now
-		rem[pick] -= ran
-		if len(segs) > 0 && segs[len(segs)-1].Index == pick && segs[len(segs)-1].End >= now-Eps {
-			segs[len(segs)-1].End = until
-		} else {
-			segs = append(segs, Segment{Index: pick, Start: now, End: until})
+		rem[pick] -= until - now
+		if segs != nil {
+			if s := *segs; len(s) > 0 && s[len(s)-1].Index == pick && s[len(s)-1].End >= now-Eps {
+				s[len(s)-1].End = until
+			} else {
+				*segs = append(s, Segment{Index: pick, Start: now, End: until})
+			}
 		}
 		now = until
 		if rem[pick] <= Eps {
@@ -128,6 +139,9 @@ func SimulateEDF(preemptable bool, t float64, entries []Entry) (segs []Segment, 
 				running = Unmapped
 			}
 			if now > entries[pick].Deadline+Eps {
+				if segs == nil {
+					return false
+				}
 				feasible = false
 			}
 		}
@@ -135,8 +149,9 @@ func SimulateEDF(preemptable bool, t float64, entries []Entry) (segs []Segment, 
 }
 
 // ResourceFeasible reports whether entries are EDF-schedulable on a single
-// resource from time t. It is SimulateEDF without schedule construction,
-// plus cheap necessary-condition cuts, and is the hot path of every RM.
+// resource from time t. It is SimulateEDF's event loop without schedule
+// construction, plus cheap necessary-condition cuts, and is the hot path
+// of every RM.
 // Callers in a solver loop should prefer ResourceFeasibleScratch with a
 // reused EDFScratch to avoid the per-call buffer allocations.
 func ResourceFeasible(preemptable bool, t float64, entries []Entry) bool {
@@ -172,7 +187,10 @@ func ResourceFeasibleScratch(preemptable bool, t float64, entries []Entry, s *ED
 	if simple {
 		return allReadyFeasible(preemptable, t, entries, s)
 	}
-	return feasibleEDF(preemptable, t, entries, s)
+	if cap(s.rem) < len(entries) {
+		s.rem = make([]float64, len(entries))
+	}
+	return runEDF(preemptable, t, entries, s.rem, nil)
 }
 
 // allReadyFeasible checks EDF feasibility when every entry is ready at t.
@@ -214,92 +232,6 @@ func entryBefore(preemptable bool, a, b *Entry) bool {
 		return a.PinnedFirst
 	}
 	return a.Deadline < b.Deadline
-}
-
-// feasibleEDF is SimulateEDF without schedule construction: it reports
-// deadline feasibility only, returning at the first miss, and takes its
-// remaining-work buffer from the scratch. The dispatch rules are identical
-// to SimulateEDF's.
-func feasibleEDF(preemptable bool, t float64, entries []Entry, s *EDFScratch) bool {
-	n := len(entries)
-	rem := s.rem
-	if cap(rem) < n {
-		rem = make([]float64, n)
-	}
-	rem = rem[:n]
-	s.rem = rem
-	for i, e := range entries {
-		rem[i] = e.Rem
-	}
-	now := t
-	var running = Unmapped // entry currently committed on a non-preemptable resource
-	for {
-		pick := Unmapped
-		if !preemptable && running != Unmapped && rem[running] > Eps {
-			pick = running
-		} else {
-			running = Unmapped
-			pinnedPick := Unmapped
-			for i := range entries {
-				if rem[i] <= Eps || entries[i].ReadyAt > now+Eps {
-					continue
-				}
-				if !preemptable && entries[i].PinnedFirst {
-					// Earliest-deadline pinned occupant first (see
-					// SimulateEDF): dispatch independent of entry order.
-					if pinnedPick == Unmapped || entries[i].Deadline < entries[pinnedPick].Deadline-Eps {
-						pinnedPick = i
-					}
-					continue
-				}
-				if pick == Unmapped || entries[i].Deadline < entries[pick].Deadline-Eps {
-					pick = i
-				}
-			}
-			if pinnedPick != Unmapped {
-				pick = pinnedPick
-			}
-		}
-		if pick == Unmapped {
-			// Idle: jump to the next release, or finish.
-			next := 0.0
-			found := false
-			for i := range entries {
-				if rem[i] > Eps && (!found || entries[i].ReadyAt < next) {
-					next = entries[i].ReadyAt
-					found = true
-				}
-			}
-			if !found {
-				return true
-			}
-			now = next
-			continue
-		}
-		until := now + rem[pick]
-		if preemptable {
-			// Break at the next future release so a newly ready entry can
-			// preempt.
-			for i := range entries {
-				if rem[i] > Eps && entries[i].ReadyAt > now+Eps && entries[i].ReadyAt < until {
-					until = entries[i].ReadyAt
-				}
-			}
-		} else {
-			running = pick
-		}
-		rem[pick] -= until - now
-		now = until
-		if rem[pick] <= Eps {
-			rem[pick] = 0
-			if !preemptable {
-				running = Unmapped
-			}
-			if now > entries[pick].Deadline+Eps {
-				return false
-			}
-		}
-	}
 }
 
 // FeasibleSorted checks EDF feasibility of entries that are all ready at t

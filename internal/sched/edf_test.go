@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -179,8 +180,8 @@ func TestResourceFeasibleMatchesSimulation(t *testing.T) {
 			}
 		}
 		for _, preempt := range []bool{true, false} {
-			_, simOK := SimulateEDF(preempt, t0, entries)
-			if got := ResourceFeasible(preempt, t0, entries); got != simOK {
+			if err := checkEDF(preempt, t0, entries); err != nil {
+				t.Log(err)
 				return false
 			}
 		}
@@ -200,8 +201,8 @@ func TestResourceFeasibleNecessaryCut(t *testing.T) {
 }
 
 func TestSimulateEDFWorkConservation(t *testing.T) {
-	// Property: when feasible, every entry receives exactly Rem time and
-	// segments never overlap.
+	// Property: generous deadlines are feasible, and the schedule passes
+	// the EDF oracle (exact service, no overlap, no early start).
 	f := func(seed uint64) bool {
 		rr := rng.New(seed)
 		n := 1 + rr.Intn(5)
@@ -212,25 +213,12 @@ func TestSimulateEDFWorkConservation(t *testing.T) {
 			entries[i] = Entry{ReadyAt: ready, Deadline: ready + rem + rr.Uniform(5, 20), Rem: rem}
 		}
 		for _, preempt := range []bool{true, false} {
-			segs, ok := SimulateEDF(preempt, 0, entries)
-			if !ok {
-				return false // generous deadlines: must be feasible
+			if _, ok := SimulateEDF(preempt, 0, entries); !ok {
+				return false
 			}
-			for i, e := range entries {
-				if math.Abs(segTotal(segs, i)-e.Rem) > 1e-6 {
-					return false
-				}
-			}
-			for i := 1; i < len(segs); i++ {
-				if segs[i].Start < segs[i-1].End-Eps {
-					return false
-				}
-			}
-			// No segment may start before its entry is ready.
-			for _, s := range segs {
-				if s.Start < entries[s.Index].ReadyAt-Eps {
-					return false
-				}
+			if err := checkEDF(preempt, 0, entries); err != nil {
+				t.Log(err)
+				return false
 			}
 		}
 		return true
@@ -238,4 +226,95 @@ func TestSimulateEDFWorkConservation(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzEDF checks the EDF oracle on random single-resource instances of 1–8
+// entries: future releases, a pinned occupant on non-preemptable
+// resources, and windows tight enough to be infeasible. The seed corpus
+// runs under plain go test.
+func FuzzEDF(f *testing.F) {
+	for seed := uint64(0); seed < 64; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		for _, preempt := range []bool{true, false} {
+			t0, entries := edfInstance(seed, preempt)
+			if err := checkEDF(preempt, t0, entries); err != nil {
+				t.Fatalf("seed %d preemptable=%v t=%g entries=%+v: %v", seed, preempt, t0, entries, err)
+			}
+		}
+	})
+}
+
+// edfInstance derives one random instance from seed. Releases never
+// precede t0 (the Entry contract); on non-preemptable resources the first
+// entry may be the pinned mid-execution occupant.
+func edfInstance(seed uint64, preemptable bool) (t0 float64, entries []Entry) {
+	r := rng.New(seed)
+	t0 = r.Uniform(0, 10)
+	entries = make([]Entry, 1+r.Intn(8))
+	for i := range entries {
+		pinned := !preemptable && i == 0 && r.Float64() < 0.5
+		ready := t0
+		if !pinned && r.Float64() < 0.3 {
+			ready = t0 + r.Uniform(0, 5)
+		}
+		rem := r.Uniform(0.1, 5)
+		entries[i] = Entry{
+			ReadyAt:     ready,
+			Deadline:    ready + rem*r.Uniform(0.5, 4),
+			Rem:         rem,
+			PinnedFirst: pinned,
+		}
+	}
+	return t0, entries
+}
+
+// checkEDF is the EDF oracle: the hot verdict, the constructed schedule
+// and the explain path must all agree. ResourceFeasible equals
+// SimulateEDF's verdict, which is false exactly when some entry's last
+// segment ends past its deadline; every entry is served Rem in total by
+// non-overlapping segments that never start before its release; and on a
+// non-preemptable resource every entry runs as one segment.
+func checkEDF(preemptable bool, t0 float64, entries []Entry) error {
+	segs, ok := SimulateEDF(preemptable, t0, entries)
+	if got := ResourceFeasible(preemptable, t0, entries); got != ok {
+		return fmt.Errorf("ResourceFeasible %v, SimulateEDF %v", got, ok)
+	}
+	last := make([]float64, len(entries))
+	count := make([]int, len(entries))
+	for i, s := range segs {
+		if i > 0 && s.Start < segs[i-1].End-Eps {
+			return fmt.Errorf("segment %d %+v overlaps %+v", i, s, segs[i-1])
+		}
+		if s.Start < entries[s.Index].ReadyAt-Eps {
+			return fmt.Errorf("segment %d %+v starts before release %g", i, s, entries[s.Index].ReadyAt)
+		}
+		last[s.Index] = math.Max(last[s.Index], s.End)
+		count[s.Index]++
+	}
+	missed := false
+	for i, e := range entries {
+		if got := segTotal(segs, i); math.Abs(got-e.Rem) > 1e-6 {
+			return fmt.Errorf("entry %d served %g, want %g", i, got, e.Rem)
+		}
+		if !preemptable && count[i] != 1 {
+			return fmt.Errorf("entry %d runs in %d segments on a non-preemptable resource", i, count[i])
+		}
+		if last[i] > e.Deadline+Eps {
+			missed = true
+		}
+	}
+	if missed == ok {
+		return fmt.Errorf("SimulateEDF feasible=%v, but a deadline miss in its segments is %v", ok, missed)
+	}
+	var l EntryList
+	for _, e := range entries {
+		l.Insert(t0, e)
+	}
+	var scratch EDFScratch
+	if got, want := l.FeasibleExplain(preemptable, t0).Feasible, l.Feasible(preemptable, t0, &scratch); got != want {
+		return fmt.Errorf("EntryList.FeasibleExplain %v, EntryList.Feasible %v", got, want)
+	}
+	return nil
 }

@@ -30,9 +30,9 @@ type WallClock struct {
 }
 
 // NewWallClock builds a wall clock running at speed engine time units per
-// real second (speed <= 0 means 1).
+// real second (a speed that is not positive, NaN included, means 1).
 func NewWallClock(speed float64) *WallClock {
-	if speed <= 0 {
+	if !(speed > 0) {
 		speed = 1
 	}
 	return &WallClock{start: time.Now(), speed: speed}

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+
 	"predrm/internal/engine"
 	"predrm/internal/sched"
 	"predrm/internal/trace"
@@ -19,6 +22,9 @@ type ShardConfig = engine.ShardConfig
 // (Activate) — the paper's one-by-one protocol, which is all Run is. The
 // shardcheck gate pins both equivalences.
 func RunSharded(cfg Config, sc ShardConfig, tr *trace.Trace) (*Result, error) {
+	if math.IsNaN(sc.BatchWindow) || math.IsInf(sc.BatchWindow, 0) {
+		return nil, fmt.Errorf("sim: BatchWindow %g must be finite", sc.BatchWindow)
+	}
 	eng, err := engine.NewSharded(cfg, sc)
 	if err != nil {
 		return nil, err

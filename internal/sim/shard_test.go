@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -246,6 +247,22 @@ func TestShardedRejectsGlobalFeatures(t *testing.T) {
 	cfg = Config{Platform: plat, TaskSet: set}
 	if _, err := RunSharded(cfg, ShardConfig{Shards: 4}, tr); err == nil {
 		t.Fatal("missing NewSolver accepted on a multi-shard engine")
+	}
+}
+
+// TestRunShardedRejectsNonFiniteWindow: a NaN window fails every "<= 0"
+// test and an infinite one swallows the whole trace into one epoch, so
+// both are refused instead of silently changing the admission protocol.
+func TestRunShardedRejectsNonFiniteWindow(t *testing.T) {
+	plat, set, tr := scaleWorkload(t, "16c2g", trace.VeryTight, 10, 5, 51)
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, shards := range []int{1, 2} {
+			cfg := Config{Platform: plat, TaskSet: set, Solver: &core.Heuristic{}}
+			sc := ShardConfig{Shards: shards, BatchWindow: w, NewSolver: func() core.Solver { return &core.Heuristic{} }}
+			if _, err := RunSharded(cfg, sc, tr); err == nil {
+				t.Errorf("window %g with %d shard(s) accepted", w, shards)
+			}
+		}
 	}
 }
 

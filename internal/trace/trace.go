@@ -120,7 +120,7 @@ func (c GenConfig) Validate() error {
 	switch {
 	case c.Length <= 0:
 		return errors.New("trace: Length must be positive")
-	case c.InterarrivalMean <= 0 || c.InterarrivalStd < 0:
+	case !(c.InterarrivalMean > 0) || !(c.InterarrivalStd >= 0): // NaN fails both
 		return errors.New("trace: invalid interarrival distribution")
 	case c.Tightness != VeryTight && c.Tightness != LessTight:
 		return errors.New("trace: unknown tightness group")

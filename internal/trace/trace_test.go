@@ -159,6 +159,8 @@ func TestGenConfigValidate(t *testing.T) {
 		{Length: 5, InterarrivalMean: -1},
 		{Length: 5, InterarrivalMean: 1, InterarrivalStd: -1},
 		{Length: 5, InterarrivalMean: 1, Tightness: Tightness(9)},
+		{Length: 5, InterarrivalMean: math.NaN()},
+		{Length: 5, InterarrivalMean: 1, InterarrivalStd: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
