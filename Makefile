@@ -49,7 +49,7 @@ benchcheck:
 	@if [ "$(BENCHCHECK)" = "0" ]; then \
 		echo "benchcheck: skipped (BENCHCHECK=0)"; \
 	else \
-		$(GO) test -run='^$$' -bench='HeuristicSolve|HeuristicRepair|OptimalSolve|OptimalWarmStart|ResourceFeasible|SimulateEDF|FeasibleSorted' -benchmem \
+		$(GO) test -run='^$$' -bench='HeuristicSolve|OptimalSolve|OptimalWarmStart|ResourceFeasible|SimulateEDF|FeasibleSorted' -benchmem \
 			./internal/sched/ ./internal/exact/ ./internal/core/ | $(GO) run ./cmd/benchjson -out= -compare BENCH.json; \
 	fi
 
@@ -64,13 +64,18 @@ tracecheck:
 # an interleaving- or timing-dependent failure.
 #
 # warmcheck proves warm-start solving is a speed knob, not a behaviour
-# knob: the exact solver's warm-vs-cold differential, the repair engine's
-# feasibility property, the fingerprint-churn property behind the
-# cross-activation cache, and the end-to-end grid/trace identity checks.
-# It honours whatever GOMAXPROCS the environment sets.
+# knob: the exact solver's warm-vs-cold differential and its warm-state
+# bookkeeping, the feasibility of Algorithm 1 runs with pre-booked jobs,
+# the fingerprint-churn property behind the cross-activation cache, the
+# end-to-end grid/trace identity checks, and the recorded per-solve
+# reference of the warm bound under sim.Run (node counts and truncation
+# included; -race runs one of its node limits, so the second line runs
+# all three without it). It honours whatever GOMAXPROCS the environment
+# sets.
 warmcheck:
-	$(GO) test -race -run 'WarmStart|WarmState|Repair|FingerprintChurn' \
-		./internal/sched/ ./internal/core/ ./internal/exact/ ./internal/experiments/
+	$(GO) test -race -run 'WarmStart|Extend|FingerprintChurn' \
+		./internal/sched/ ./internal/core/ ./internal/exact/ ./internal/experiments/ ./internal/sim/
+	$(GO) test -run 'WarmStartBoundRecorded' ./internal/sim/
 
 # shardcheck pins the scale-out admission layer: the 1-shard sharded
 # engine is byte-identical to the unsharded path, singleton batch epochs

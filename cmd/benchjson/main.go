@@ -39,7 +39,7 @@ import (
 // defaultHot selects the decision hot-path benchmarks: the solver entry
 // points, the per-activation feasibility probes, and the end-to-end
 // simulation run. Sub-benchmarks (Name/case) are matched by the ($|/).
-const defaultHot = `^(HeuristicSolve|HeuristicRepair|OptimalSolve|OptimalWarmStart|Run|ResourceFeasible|SimulateEDF|FeasibleSorted)($|/)`
+const defaultHot = `^(HeuristicSolve|OptimalSolve|OptimalWarmStart|Run|ResourceFeasible|SimulateEDF|FeasibleSorted)($|/)`
 
 // Benchmark is one parsed result line.
 type Benchmark struct {

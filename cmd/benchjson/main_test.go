@@ -125,11 +125,9 @@ func TestCompareGate(t *testing.T) {
 	})
 
 	t.Run("warmstart-benchmarks-are-hot", func(t *testing.T) {
-		// The repair/warm-start benchmarks gate the delta-solve fast path;
-		// they must be inside the default hot set including sub-benchmarks.
-		for _, name := range []string{
-			"HeuristicRepair/repair", "HeuristicRepair", "OptimalWarmStart/warm",
-		} {
+		// The warm-start benchmark gates the exact solver's warm bound; it
+		// must be inside the default hot set including sub-benchmarks.
+		for _, name := range []string{"OptimalWarmStart", "OptimalWarmStart/warm"} {
 			if !hot.MatchString(name) {
 				t.Fatalf("%s not matched by defaultHot", name)
 			}

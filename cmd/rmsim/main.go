@@ -60,7 +60,6 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 	var (
 		tracePath = fs.String("trace", "", "trace JSON file (empty: generate)")
 		batchWin  = fs.Float64("batch-window", 0, "collect arrivals for this many time units and admit each window as one batch epoch (0: the paper's one-by-one protocol)")
-		shardWork = fs.Int("shard-workers", 0, "concurrent shard solves per batch epoch (0: min(shards, GOMAXPROCS))")
 		usePred   = fs.Bool("predict", false, "enable the oracle predictor")
 		accuracy  = fs.Float64("accuracy", 1.0, "oracle task-type accuracy in [0,1]")
 		timeErr   = fs.Float64("time-error", 0, "oracle arrival-time normalized RMSE")
@@ -162,7 +161,6 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 	res, err := sim.RunSharded(cfg, sim.ShardConfig{
 		Shards:      f.Shards,
 		BatchWindow: *batchWin,
-		Workers:     *shardWork,
 		NewSolver:   newSolver,
 	}, tr)
 	if err != nil {

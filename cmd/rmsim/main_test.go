@@ -85,7 +85,6 @@ func TestRunRefusals(t *testing.T) {
 		{"-taskset ../../testdata/scale/taskset.json -platform 8c1g", "-platform"},
 		{"-accuracy 0.5", "-accuracy"},
 		{"-solver-budget abc", "-solver-budget"},
-		{"-shard-workers 2", "-shard-workers"},
 		{"-ops-linger 1s", "-ops-linger"},
 		{"-provenance", "-provenance"},
 		{"-engine foo", `"foo"`},

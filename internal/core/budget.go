@@ -243,7 +243,7 @@ func (b *BudgetedSolver) emit(p *sched.Problem, to int, reason string) {
 		return
 	}
 	e := telemetry.NewEvent(p.Time, telemetry.EvSolverFallback)
-	e.Req = arrivingID(p)
+	e.Req = ArrivingID(p)
 	e.Value = float64(to)
 	e.Reason = reason
 	b.Tracer.Emit(e)
@@ -266,11 +266,11 @@ func attempt(s Solver, p *sched.Problem) (d Decision, err error, panicked bool) 
 	return s.Solve(p), nil, false
 }
 
-// arrivingID returns the trace id of the arriving request in p — the
+// ArrivingID returns the trace id of the arriving request in p — the
 // largest job id, since active jobs are earlier requests and predicted or
 // critical planning copies carry negative ids — or -1 when the problem
 // holds none (solver invoked outside the admission protocol).
-func arrivingID(p *sched.Problem) int {
+func ArrivingID(p *sched.Problem) int {
 	id := -1
 	for _, j := range p.Jobs {
 		if j.ID > id {

@@ -70,7 +70,6 @@ type Heuristic struct {
 	// Telemetry instruments (nil-safe no-ops until AttachMetrics).
 	solves, infeasible   *telemetry.Counter
 	problemJobs          *telemetry.Histogram
-	repairs, repairFail  *telemetry.Counter
 	cacheHits, cacheMiss *telemetry.Counter
 	cacheRate            *telemetry.Gauge
 
@@ -98,9 +97,8 @@ type Heuristic struct {
 	unassigned []int
 	pickSet    []int
 
-	// delta is the Repair scratch; hitsDelta/missDelta batch the cache
-	// probe statistics per solve (flushed into Cache and the instruments).
-	delta                sched.MappingDelta
+	// hitsDelta/missDelta batch the cache probe statistics per solve
+	// (flushed into Cache and the instruments).
 	hitsDelta, missDelta int64
 
 	// Indexed candidate-scan state (indexed.go): the per-type candidate
@@ -117,17 +115,13 @@ var _ telemetry.Instrumentable = (*Heuristic)(nil)
 var _ telemetry.ProvenanceAware = (*Heuristic)(nil)
 
 // AttachMetrics registers the heuristic's instruments on reg: counters
-// core.solves and core.infeasible, histogram core.problem_jobs, the
-// warm-start counters core.warmstart.repairs / core.warmstart.repair_fail
-// (Repair attempts and fallbacks), and the probe-cache counters
-// core.cache.hits / core.cache.misses plus the core.cache.hit_rate gauge
-// (all zero while Cache is nil).
+// core.solves and core.infeasible, histogram core.problem_jobs, and the
+// probe-cache counters core.cache.hits / core.cache.misses plus the
+// core.cache.hit_rate gauge (all zero while Cache is nil).
 func (h *Heuristic) AttachMetrics(reg *telemetry.Registry) {
 	h.solves = reg.Counter("core.solves")
 	h.infeasible = reg.Counter("core.infeasible")
 	h.problemJobs = reg.Histogram("core.problem_jobs", telemetry.CountBuckets)
-	h.repairs = reg.Counter("core.warmstart.repairs")
-	h.repairFail = reg.Counter("core.warmstart.repair_fail")
 	h.cacheHits = reg.Counter("core.cache.hits")
 	h.cacheMiss = reg.Counter("core.cache.misses")
 	h.cacheRate = reg.Gauge("core.cache.hit_rate")
@@ -194,12 +188,49 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 	if p.Platform.Len() >= indexedMinResources && !h.prov.Enabled() && !h.noIndex {
 		return h.solveIndexed(p)
 	}
+	mapping, failJob, ok := h.place(p, nil)
+	if !ok {
+		return h.fail(mapping, failJob)
+	}
+	h.flushCacheStats()
+	out := append([]int(nil), mapping...)
+	return Decision{Mapping: out, Feasible: true, Energy: p.Energy(out)}
+}
+
+// Extend runs Algorithm 1 on p with job i pre-booked on resource keep[i]
+// wherever that entry is not sched.Unmapped: the pre-booked jobs (and the
+// pinned and fixed ones, on their own resource) are booked first, and only
+// the rest go through Solve's placement loop. A pre-booking is checked,
+// not trusted: one the job can no longer execute or finish in time on, or
+// a resource whose pre-booked entries miss a deadline, reports ok=false,
+// as does a job the placement cannot fit. An ok mapping is therefore a
+// feasible mapping of p that keeps every pre-booked free job where keep
+// put it.
+//
+// Extend always takes the plain (matrix) path and records no provenance:
+// its output bounds other searches, it is never itself an admission
+// decision. The mapping is borrowed from the heuristic's scratch arena and
+// is invalidated by the next Solve or Extend call; steady-state Extend
+// allocates nothing.
+func (h *Heuristic) Extend(p *sched.Problem, keep []int) (mapping []int, ok bool) {
+	h.Cache.Advance()
+	mapping, _, ok = h.place(p, keep)
+	h.flushCacheStats()
+	return mapping, ok
+}
+
+// place is Algorithm 1's plain path over the materialised m×n matrices:
+// pre-book pinned and fixed jobs (and, when keep is non-nil, the jobs it
+// names), then place the rest in max-regret (or, for Greedy, index)
+// order. It fills the arena mapping; on failure failJob is the job that
+// could not be placed, or -1 when a pre-booking failed its check.
+func (h *Heuristic) place(p *sched.Problem, keep []int) (mapping []int, failJob int, ok bool) {
 	jobs := p.Jobs
 	m, n := len(jobs), p.Platform.Len()
 	h.p, h.n = p, n
 	h.grow(m, n)
 
-	mapping := h.mapping[:m]
+	mapping = h.mapping[:m]
 	for i := range mapping {
 		mapping[i] = sched.Unmapped
 	}
@@ -241,16 +272,41 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 	}
 
 	// Pinned jobs are not free decisions: pre-assign them so the heuristic
-	// plans around the work it cannot move.
+	// plans around the work it cannot move. Pre-booked jobs join them, each
+	// checked against its own deadline.
 	unassigned := h.unassigned[:0]
 	for idx, j := range jobs {
+		r := sched.Unmapped
 		if j.Fixed || j.Pinned(p.Platform) {
-			h.assign(idx, j.Resource)
+			r = j.Resource
+		} else if keep != nil {
+			r = keep[idx]
+		}
+		if r == sched.Unmapped {
+			unassigned = append(unassigned, idx)
 			continue
 		}
-		unassigned = append(unassigned, idx)
+		if keep != nil {
+			if c := cpm[idx*n+r]; c == task.NotExecutable || c > j.TimeLeft(p.Time)+sched.Eps {
+				return mapping, -1, false
+			}
+		}
+		h.assign(idx, r)
 	}
 	h.unassigned = unassigned
+
+	// Verify the pre-booked state before investing in placement: a
+	// pre-booked job that executed since it was booked can only have
+	// gotten easier, but a migrated-in pinned job or drifted debt can
+	// break a list.
+	if keep != nil {
+		for r := 0; r < n; r++ {
+			if h.lists[r].Len() > 0 && !h.lists[r].FeasibleCached(p.Platform.Resource(r).Preemptable(),
+				p.Time, h.Cache, &h.edf, &h.hitsDelta, &h.missDelta) {
+				return mapping, -1, false
+			}
+		}
+	}
 
 	// Seed F_j, best/second desirability and thereby the regrets. From
 	// here the caches are maintained incrementally: an assignment changes
@@ -259,6 +315,7 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 		h.refresh(ji)
 	}
 
+	recording := keep == nil && h.prov.Enabled()
 	for len(unassigned) > 0 {
 		// Select the next job: max regret d* (lines 8-20), or first in
 		// index order for the greedy ablation.
@@ -266,14 +323,14 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 		if h.Greedy {
 			pick = 0
 			if h.feasCount[unassigned[0]] == 0 {
-				return h.fail(mapping, unassigned[0])
+				return mapping, unassigned[0], false
 			}
 		} else {
 			dStar := math.Inf(-1)
 			for u, ji := range unassigned {
 				if h.feasCount[ji] == 0 {
 					// Line 22: no solution.
-					return h.fail(mapping, ji)
+					return mapping, ji, false
 				}
 				d := h.second[ji] - h.best[ji] // +Inf when |F_j| == 1 (line 14)
 				if d > dStar {
@@ -294,7 +351,6 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 				ps = append(ps, r)
 			}
 		}
-		recording := h.prov.Enabled()
 		placed := false
 		for len(ps) > 0 {
 			bi, bf := -1, math.Inf(1)
@@ -309,17 +365,17 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 			// out and the next resource tried.
 			pos := h.insertEntry(jobIdx, r)
 			preempt := p.Platform.Resource(r).Preemptable()
-			var ok bool
+			var fits bool
 			if recording {
 				// Explain-mode probe: same verdict, plus the tightest
 				// slack and the deadline that broke.
 				fv := h.lists[r].FeasibleExplain(preempt, p.Time)
-				ok = fv.Feasible
+				fits = fv.Feasible
 				cv := telemetry.CandidateVerdict{
 					Job: jobs[jobIdx].ID, Res: r, Des: bf,
 					Slack: fv.Slack, Preempt: preempt, EDFPath: fv.EDFPath,
 				}
-				if ok {
+				if fits {
 					cv.Verdict = telemetry.VerdictChosen
 				} else {
 					cv.Verdict = telemetry.VerdictEDFInfeasible
@@ -327,10 +383,10 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 				}
 				h.prov.Candidate(cv)
 			} else {
-				ok = h.lists[r].FeasibleCached(preempt, p.Time, h.Cache, &h.edf,
+				fits = h.lists[r].FeasibleCached(preempt, p.Time, h.Cache, &h.edf,
 					&h.hitsDelta, &h.missDelta)
 			}
-			if ok {
+			if fits {
 				mapping[jobIdx] = r
 				capacity[r] -= cpm[base+r]
 				h.invalidateColumn(r, unassigned)
@@ -355,13 +411,10 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 		}
 		if !placed {
 			// Lines 31-32: no more resources.
-			return h.fail(mapping, jobIdx)
+			return mapping, jobIdx, false
 		}
 	}
-
-	h.flushCacheStats()
-	out := append([]int(nil), mapping...)
-	return Decision{Mapping: out, Feasible: true, Energy: p.Energy(out)}
+	return mapping, -1, true
 }
 
 // assign books job jobIdx onto resource r: mapping, capacity, entry list.

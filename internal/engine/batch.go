@@ -85,7 +85,11 @@ func (r *Engine) epoch(startIdx int, reqs []trace.Request, close float64, outs [
 		overhead += r.cfg.Predictor.Overhead()
 	}
 	if r.cfg.OverheadHook != nil {
-		overhead += r.cfg.OverheadHook(startIdx, reqs[0].Arrival)
+		extra := r.cfg.OverheadHook(startIdx, reqs[0].Arrival)
+		if !(extra >= 0) || math.IsInf(extra, 1) {
+			return fmt.Errorf("engine: overhead hook returned %v for request %d (must be finite and non-negative)", extra, startIdx)
+		}
+		overhead += extra
 	}
 	if err := r.advanceTo(math.Max(r.now, close+overhead)); err != nil {
 		return err
@@ -116,9 +120,9 @@ func (r *Engine) epoch(startIdx int, reqs []trace.Request, close float64, outs [
 }
 
 // checkBatch validates a batch against the engine's next id want and a
-// task set of types types: dense ids, known types, positive deadlines and
-// arrival order. Drivers call it before touching any state, so a bad
-// request fails the whole batch cleanly.
+// task set of types types: dense ids, known types, finite arrivals,
+// positive deadlines and arrival order. Drivers call it before touching
+// any state, so a bad request fails the whole batch cleanly.
 func checkBatch(startIdx, want int, reqs []trace.Request, types int) error {
 	if startIdx != want {
 		return fmt.Errorf("engine: activation id %d out of order (want %d)", startIdx, want)
@@ -128,7 +132,9 @@ func checkBatch(startIdx, want int, reqs []trace.Request, types int) error {
 		switch {
 		case req.Type < 0 || req.Type >= types:
 			return fmt.Errorf("engine: request %d references unknown type %d", idx, req.Type)
-		case req.Deadline <= 0:
+		case math.IsNaN(req.Arrival) || math.IsInf(req.Arrival, 0):
+			return fmt.Errorf("engine: request %d has non-finite arrival %v", idx, req.Arrival)
+		case !(req.Deadline > 0): // NaN fails > 0
 			return fmt.Errorf("engine: request %d has non-positive deadline %v", idx, req.Deadline)
 		case i > 0 && req.Arrival < reqs[i-1].Arrival:
 			return fmt.Errorf("engine: request %d arrives before request %d", idx, idx-1)

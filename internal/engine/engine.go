@@ -41,6 +41,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"predrm/internal/core"
@@ -181,8 +182,8 @@ func (c *Config) Validate() error {
 		return errors.New("engine: no task set")
 	case c.Solver == nil:
 		return errors.New("engine: no solver")
-	case c.ExtraOverhead < 0:
-		return errors.New("engine: negative overhead")
+	case !(c.ExtraOverhead >= 0) || math.IsInf(c.ExtraOverhead, 1): // NaN fails >= 0
+		return fmt.Errorf("engine: overhead %v must be finite and non-negative", c.ExtraOverhead)
 	case c.Lookahead < 0:
 		return errors.New("engine: negative lookahead")
 	case c.Lookahead > 1 && c.Predictor == nil:

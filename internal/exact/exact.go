@@ -43,7 +43,7 @@ type Stats struct {
 	// finishes in exactly the node budget is not truncated.
 	Truncated bool
 	// WarmSeeded reports whether the previous activation's mapping was
-	// repaired into a feasible solution of this problem and installed as
+	// extended into a feasible solution of this problem and installed as
 	// the warm-start pruning bound (WarmStart field).
 	WarmSeeded bool
 	// WarmCuts counts subtrees cut by the warm-start bound alone — the
@@ -66,11 +66,12 @@ type Optimal struct {
 	// their admitted state — reuse each other's verdicts.
 	CacheSlots int
 	// WarmStart remembers each solve's mapping and, on the next solve,
-	// repairs it into a feasible solution of the new problem (surviving
-	// jobs matched by pointer, see sched.WarmState) whose energy becomes
-	// an additional pruning bound: subtrees whose optimistic completion is
-	// strictly worse than the repaired solution are cut before the search
-	// finds its own incumbent there. The bound is exclusive and never
+	// extends it into a feasible solution of the new problem — Algorithm 1
+	// run with the surviving jobs pre-booked where they were, matched by
+	// pointer (core.Heuristic.Extend) — whose energy becomes an additional
+	// pruning bound: subtrees whose optimistic completion is strictly
+	// worse than the extended solution are cut before the search finds its
+	// own incumbent there. The bound is exclusive and never
 	// returnable, so a completed solve stays bit-identical to a cold start
 	// (DESIGN.md §10); only the node count — and therefore where a node or
 	// wall budget truncates — can differ.
@@ -130,10 +131,17 @@ type Optimal struct {
 	cand  [][]sched.Entry
 	candE [][]float64
 
-	// Warm-start state (WarmStart field): the previous activation's
-	// recorded mapping, the current solve's pruning bound (+Inf when
-	// absent) and the bound-cut count.
-	warm       sched.WarmState
+	// Warm-start state (WarmStart field): where the last feasible solve
+	// mapped each job it placed (matched by pointer: the simulator keeps
+	// *Job values alive across activations, while predicted jobs are
+	// rebuilt and so always count as added), this solve's pre-bookings
+	// derived from it, the pre-booked Algorithm 1 run that completes them
+	// (a zero-value heuristic of its own, so it records no provenance or
+	// metrics), the current solve's pruning bound (+Inf when absent) and
+	// the bound-cut count.
+	prev       map[*sched.Job]int
+	keep       []int
+	extender   core.Heuristic
 	warmBound  float64
 	warmSeeded bool
 	warmCuts   int
@@ -207,8 +215,8 @@ func (o *Optimal) BudgetUsed() core.BudgetUse {
 // exact.nodes (branch-and-bound nodes per solve). The pruning cache adds
 // exact.cache.hits / exact.cache.misses / exact.cache.evictions and the
 // lifetime exact.cache.hit_rate gauge. Warm starting adds
-// exact.warmstart.attempts / .seeded (repairs that produced a bound — the
-// seed-feasible rate is their ratio) / .repair_fail / .bound_cuts
+// exact.warmstart.attempts / .seeded (extensions that produced a bound —
+// the seed-feasible rate is their ratio) / .repair_fail / .bound_cuts
 // (subtrees cut by the warm bound alone, a nodes-saved proxy).
 func (o *Optimal) AttachMetrics(reg *telemetry.Registry) {
 	o.mSolves = reg.Counter("exact.solves")
@@ -302,10 +310,9 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 	// the first dive is a good incumbent.
 	o.prepareOrders(free)
 
-	// Warm start: repair the previous activation's mapping into a pruning
+	// Warm start: extend the previous activation's mapping into a pruning
 	// bound for this one. Must follow prepareOrders (the bound is summed
-	// over candE in branching order) and precede the seeder, whose Solve
-	// resets the shared arena Repair borrows.
+	// over candE in branching order).
 	o.prepareWarmBound(pinnedEnergy)
 
 	// Seed the incumbent with the heuristic so exact is never worse and
@@ -340,35 +347,87 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 		return core.Decision{Mapping: append([]int(nil), o.mapping...), Feasible: false}
 	}
 	if o.WarmStart {
-		o.warm.Record(p, o.bestMap)
+		o.record(p, o.bestMap)
 	}
 	return core.Decision{Mapping: append([]int(nil), o.bestMap...), Feasible: true, Energy: o.bestE}
 }
 
-// prepareWarmBound repairs the previous activation's recorded mapping
-// onto the current problem (via the seeder's Repair engine) and installs
-// its energy as the warm pruning bound. The repaired mapping itself is
-// deliberately NOT installed as an incumbent: an incumbent is returnable,
-// and returning it would make warm and cold solves diverge whenever the
-// repair beats the heuristic seed. As a non-returnable exclusive bound it
-// only removes subtrees whose every leaf is strictly worse than a known
-// feasible solution — leaves that can never be the returned decision —
-// which is what keeps completed solves bit-identical to cold starts
-// (DESIGN.md §10).
+// maxWarmDelta bounds how many jobs may have arrived or left since the
+// recorded activation for the warm bound to be attempted. Past it,
+// retention covers too little of the problem for the extended mapping to
+// stay close to a fresh solve.
+func maxWarmDelta(jobs int) int {
+	if jobs < 8 {
+		return 4
+	}
+	return jobs / 2
+}
+
+// record remembers mapping as the solution of p. Jobs mapped to Unmapped
+// (a rejected predicted job, say) are skipped: they carry no assignment
+// worth keeping. The map retains the *Job pointers, which also keeps them
+// reachable until the next record.
+func (o *Optimal) record(p *sched.Problem, mapping []int) {
+	if o.prev == nil {
+		o.prev = make(map[*sched.Job]int, len(p.Jobs))
+	} else {
+		clear(o.prev)
+	}
+	for i, j := range p.Jobs {
+		if r := mapping[i]; r != sched.Unmapped {
+			o.prev[j] = r
+		}
+	}
+}
+
+// preBook fills o.keep with each job's recorded resource (Unmapped for a
+// job the last record does not hold) and reports whether the activation
+// delta — jobs added plus recorded jobs gone — is within maxWarmDelta.
+func (o *Optimal) preBook(p *sched.Problem) bool {
+	keep := o.keep[:0]
+	kept := 0
+	for _, j := range p.Jobs {
+		r, ok := o.prev[j]
+		if ok {
+			kept++
+		} else {
+			r = sched.Unmapped
+		}
+		keep = append(keep, r)
+	}
+	o.keep = keep
+	added, removed := len(p.Jobs)-kept, len(o.prev)-kept
+	return added+removed <= maxWarmDelta(len(p.Jobs))
+}
+
+// prepareWarmBound extends the previous activation's recorded mapping
+// onto the current problem (Algorithm 1 with the surviving jobs
+// pre-booked) and installs its energy as the warm pruning bound. The
+// extended mapping itself is deliberately NOT installed as an incumbent:
+// an incumbent is returnable, and returning it would make warm and cold
+// solves diverge whenever the extension beats the heuristic seed. As a
+// non-returnable exclusive bound it only removes subtrees whose every leaf
+// is strictly worse than a known feasible solution — leaves that can
+// never be the returned decision — which is what keeps completed solves
+// bit-identical to cold starts (DESIGN.md §10).
 func (o *Optimal) prepareWarmBound(pinnedEnergy float64) {
-	if !o.WarmStart || !o.warm.Valid() {
+	if !o.WarmStart || o.prev == nil {
 		return
 	}
 	o.mWarmAttempts.Inc()
-	mapping, _, ok := o.seeder.Repair(o.p, &o.warm)
+	if !o.preBook(o.p) {
+		o.mWarmFail.Inc()
+		return
+	}
+	mapping, ok := o.extender.Extend(o.p, o.keep)
 	if !ok {
 		o.mWarmFail.Inc()
 		return
 	}
-	// Re-sum the repaired mapping's energy with the search's own float
+	// Re-sum the extended mapping's energy with the search's own float
 	// additions — pinned energy plus candE terms in branching-depth order
-	// — so the bound equals the repair leaf's in-search energy exactly and
-	// the exclusive comparison can never cut that leaf's own path.
+	// — so the bound equals the extension leaf's in-search energy exactly
+	// and the exclusive comparison can never cut that leaf's own path.
 	u := pinnedEnergy
 	for d, jobIdx := range o.order {
 		r := mapping[jobIdx]
@@ -380,9 +439,9 @@ func (o *Optimal) prepareWarmBound(pinnedEnergy float64) {
 			}
 		}
 		if ri < 0 {
-			// The repair placed a job outside the branchable resource set
-			// (possible for predicted jobs, whose constraint-(2) window is
-			// tighter under branching than under repair): no bound.
+			// The extension placed a job outside the branchable resource
+			// set (possible for predicted jobs, whose constraint-(2) window
+			// is tighter under branching than under Algorithm 1): no bound.
 			o.mWarmFail.Inc()
 			return
 		}
@@ -504,7 +563,7 @@ func (o *Optimal) dfs(depth int, energy float64) {
 	if lb >= o.bestE-sched.Eps {
 		return
 	}
-	// Warm bound: every leaf below is strictly worse than the repaired
+	// Warm bound: every leaf below is strictly worse than the extended
 	// previous-activation solution, so none can be the returned decision
 	// (the bound is exclusive — see prepareWarmBound). Checked after the
 	// incumbent so warmCuts counts only cuts the incumbent missed.

@@ -2,12 +2,14 @@ package exact
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"predrm/internal/platform"
 	"predrm/internal/rng"
 	"predrm/internal/sched"
 	"predrm/internal/task"
+	"predrm/internal/telemetry"
 )
 
 // evolveActivation builds the successor activation of p under mapping:
@@ -152,9 +154,140 @@ func TestWarmStartOffRecordsNothing(t *testing.T) {
 		if o.LastStats.WarmSeeded || o.LastStats.WarmCuts != 0 {
 			t.Fatalf("trial %d: WarmStart=false solver reported warm activity: %+v", trial, o.LastStats)
 		}
-		if o.warm.Valid() {
+		if o.prev != nil {
 			t.Fatalf("trial %d: WarmStart=false solver recorded warm state", trial)
 		}
+	}
+}
+
+// warmCounters reads the exact.warmstart attempt, seeded and
+// repair_fail counters.
+func warmCounters(reg *telemetry.Registry) (attempts, seeded, fails int64) {
+	c := reg.Snapshot().Counters
+	return c["exact.warmstart.attempts"], c["exact.warmstart.seeded"], c["exact.warmstart.repair_fail"]
+}
+
+// TestWarmStartFirstSolveSeedsNoBound: with nothing recorded there is no
+// previous mapping to extend, so the first solve installs no bound and
+// counts no attempt; the successor of a recorded solve is seeded.
+func TestWarmStartFirstSolveSeedsNoBound(t *testing.T) {
+	ts := task.Motivational()
+	plat := platform.Motivational()
+	j1 := sched.NewJob(0, ts.Type(0), 0, 50)
+	p := &sched.Problem{Platform: plat, Time: 0, Jobs: []*sched.Job{j1}}
+	reg := telemetry.NewRegistry()
+	o := &Optimal{WarmStart: true}
+	o.AttachMetrics(reg)
+	if d := o.Solve(p); !d.Feasible || o.LastStats.WarmSeeded {
+		t.Fatalf("first solve: feasible=%v stats=%+v", d.Feasible, o.LastStats)
+	}
+	if a, s, f := warmCounters(reg); a != 0 || s != 0 || f != 0 {
+		t.Fatalf("first solve counted attempts=%d seeded=%d fails=%d", a, s, f)
+	}
+	o.Solve(p)
+	if !o.LastStats.WarmSeeded {
+		t.Fatalf("repeat solve not seeded: %+v", o.LastStats)
+	}
+	if a, s, f := warmCounters(reg); a != 1 || s != 1 || f != 0 {
+		t.Fatalf("repeat solve counted attempts=%d seeded=%d fails=%d", a, s, f)
+	}
+}
+
+// TestWarmStartDeltaGuard: when the activation delta exceeds
+// maxWarmDelta, retention covers too little of the problem, and the solve
+// seeds no bound and counts the attempt as a repair failure.
+func TestWarmStartDeltaGuard(t *testing.T) {
+	ts := task.Motivational()
+	plat := platform.Motivational()
+	j1 := sched.NewJob(0, ts.Type(0), 0, 50)
+	p1 := &sched.Problem{Platform: plat, Time: 0, Jobs: []*sched.Job{j1}}
+	reg := telemetry.NewRegistry()
+	o := &Optimal{WarmStart: true}
+	o.AttachMetrics(reg)
+	if d := o.Solve(p1); !d.Feasible {
+		t.Fatal("seed activation infeasible")
+	}
+
+	// Successor keeps j1 and adds five arrivals: delta 5 > maxWarmDelta(6)=4.
+	jobs := []*sched.Job{j1}
+	for i := 1; i <= 5; i++ {
+		jobs = append(jobs, sched.NewJob(i, ts.Type(0), 1, 50))
+	}
+	o.Solve(&sched.Problem{Platform: plat, Time: 1, Jobs: jobs})
+	if o.LastStats.WarmSeeded {
+		t.Fatal("warm bound seeded past the delta guard")
+	}
+	if a, s, f := warmCounters(reg); a != 1 || s != 0 || f != 1 {
+		t.Fatalf("guarded solve counted attempts=%d seeded=%d fails=%d", a, s, f)
+	}
+
+	if got, want := maxWarmDelta(4), 4; got != want {
+		t.Fatalf("maxWarmDelta(4) = %d, want %d", got, want)
+	}
+	if got, want := maxWarmDelta(20), 10; got != want {
+		t.Fatalf("maxWarmDelta(20) = %d, want %d", got, want)
+	}
+}
+
+func warmProblem() *sched.Problem {
+	ts := task.Motivational()
+	j1 := sched.NewJob(0, ts.Type(0), 0, 8)
+	j2 := sched.NewJob(1, ts.Type(1), 0, 6)
+	return &sched.Problem{Platform: platform.Motivational(), Time: 0, Jobs: []*sched.Job{j1, j2}}
+}
+
+// preBookOf runs o.preBook on p and returns its pre-bookings and verdict.
+func preBookOf(o *Optimal, p *sched.Problem) ([]int, bool) {
+	ok := o.preBook(p)
+	return slices.Clone(o.keep), ok
+}
+
+// TestWarmStartRecordPreBook: a recorded mapping pre-books every job of
+// the same problem where it was, and a successor's pre-bookings keep the
+// surviving job and leave the arrival free.
+func TestWarmStartRecordPreBook(t *testing.T) {
+	p := warmProblem()
+	o := &Optimal{WarmStart: true}
+	o.record(p, []int{2, 0})
+	if keep, ok := preBookOf(o, p); !ok || !slices.Equal(keep, []int{2, 0}) {
+		t.Fatalf("self pre-bookings = %v, %v", keep, ok)
+	}
+
+	// Next activation: job 0 survives, job 1 completed, one arrival.
+	ts := task.Motivational()
+	j3 := sched.NewJob(2, ts.Type(1), 1, 6)
+	next := &sched.Problem{Platform: p.Platform, Time: 1, Jobs: []*sched.Job{p.Jobs[0], j3}}
+	if keep, ok := preBookOf(o, next); !ok || !slices.Equal(keep, []int{2, sched.Unmapped}) {
+		t.Fatalf("successor pre-bookings = %v, %v", keep, ok)
+	}
+}
+
+// TestWarmStartMatchesByPointerNotValue: the simulator mutates *Job in
+// place, so pointer identity is the cross-activation job identity; a
+// value-identical clone (a rebuilt predicted job, say) is not pre-booked.
+func TestWarmStartMatchesByPointerNotValue(t *testing.T) {
+	p := warmProblem()
+	o := &Optimal{WarmStart: true}
+	o.record(p, []int{2, 0})
+	clone := p.Jobs[0].Clone()
+	next := &sched.Problem{Platform: p.Platform, Time: p.Time, Jobs: []*sched.Job{clone, p.Jobs[1]}}
+	if keep, _ := preBookOf(o, next); !slices.Equal(keep, []int{sched.Unmapped, 0}) {
+		t.Fatalf("clone pre-bookings = %v (clone must not match by value)", keep)
+	}
+}
+
+// TestWarmStartRecordSkipsUnmapped: a job the previous solve did not
+// place (a rejected prediction) carries no assignment worth keeping and
+// is not recorded.
+func TestWarmStartRecordSkipsUnmapped(t *testing.T) {
+	p := warmProblem()
+	o := &Optimal{WarmStart: true}
+	o.record(p, []int{2, sched.Unmapped})
+	if len(o.prev) != 1 {
+		t.Fatalf("recorded %d jobs, want 1", len(o.prev))
+	}
+	if keep, _ := preBookOf(o, p); !slices.Equal(keep, []int{2, sched.Unmapped}) {
+		t.Fatalf("pre-bookings = %v (unmapped job must stay free)", keep)
 	}
 }
 
@@ -191,7 +324,7 @@ func BenchmarkOptimalWarmStart(b *testing.B) {
 		wp.Solve(succ)
 		// Prefer the pair where the warm bound actually cuts: the payoff
 		// case is a successor whose heuristic incumbent is weak, so the
-		// previous activation's repaired solution out-prunes it.
+		// previous activation's extended solution out-prunes it.
 		if saved := coldNodes - wp.LastStats.Nodes; wp.LastStats.WarmSeeded && saved > bestSaved {
 			bestSaved, bestCold = saved, coldNodes
 			p1, p2 = cand, succ

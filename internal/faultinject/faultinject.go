@@ -204,7 +204,7 @@ func (f *FaultySolver) SolveChecked(pr *sched.Problem) (core.Decision, error) {
 		f.mErrors.Inc()
 		if f.trc != nil {
 			e := telemetry.NewEvent(pr.Time, telemetry.EvFaultInjected)
-			e.Req = ArrivingID(pr)
+			e.Req = core.ArrivingID(pr)
 			e.Reason = telemetry.ReasonSolverError
 			f.trc.Emit(e)
 		}
@@ -243,19 +243,6 @@ func (f *FaultySolver) BudgetUsed() core.BudgetUse {
 		return ba.BudgetUsed()
 	}
 	return core.BudgetUse{}
-}
-
-// ArrivingID returns the trace id of the arriving request in pr (the
-// largest job id; predicted and critical planning copies are negative),
-// or -1 when none.
-func ArrivingID(pr *sched.Problem) int {
-	id := -1
-	for _, j := range pr.Jobs {
-		if j.ID > id {
-			id = j.ID
-		}
-	}
-	return id
 }
 
 // Hook returns a sim.Config.OverheadHook injecting planned latency

@@ -230,17 +230,16 @@ type CacheStatus struct {
 	Evictions int64   `json:"evictions"`
 }
 
-// WarmstartStatus aggregates the exact.warmstart.* and core.warmstart.*
-// counters: how often the previous activation's mapping was repaired into
-// a warm seed, how often repair fell back, and how many subtrees the warm
-// bound cut that the incumbent bound had missed.
+// WarmstartStatus aggregates the exact.warmstart.* counters: how often
+// the previous activation's mapping was extended into a warm seed, how
+// often that fell back, and how many subtrees the warm bound cut that the
+// incumbent bound had missed.
 type WarmstartStatus struct {
-	Attempts       int64   `json:"attempts"`
-	Seeded         int64   `json:"seeded"`
-	SeedRate       float64 `json:"seed_rate"`
-	RepairFailed   int64   `json:"repair_failed"`
-	BoundCuts      int64   `json:"bound_cuts"`
-	HeuristicFails int64   `json:"heuristic_repair_failed"`
+	Attempts     int64   `json:"attempts"`
+	Seeded       int64   `json:"seeded"`
+	SeedRate     float64 `json:"seed_rate"`
+	RepairFailed int64   `json:"repair_failed"`
+	BoundCuts    int64   `json:"bound_cuts"`
 }
 
 // SolverStatus aggregates solver activity and resilience counters.
@@ -291,12 +290,11 @@ func (p *Plane) CurrentStatus() Status {
 			HitRate: finiteOr(float64(hHits)/float64(hHits+hMisses), 0),
 		}
 		st.Warmstart = WarmstartStatus{
-			Attempts:       c["exact.warmstart.attempts"],
-			Seeded:         c["exact.warmstart.seeded"],
-			SeedRate:       finiteOr(float64(c["exact.warmstart.seeded"])/float64(c["exact.warmstart.attempts"]), 0),
-			RepairFailed:   c["exact.warmstart.repair_fail"],
-			BoundCuts:      c["exact.warmstart.bound_cuts"],
-			HeuristicFails: c["core.warmstart.repair_fail"],
+			Attempts:     c["exact.warmstart.attempts"],
+			Seeded:       c["exact.warmstart.seeded"],
+			SeedRate:     finiteOr(float64(c["exact.warmstart.seeded"])/float64(c["exact.warmstart.attempts"]), 0),
+			RepairFailed: c["exact.warmstart.repair_fail"],
+			BoundCuts:    c["exact.warmstart.bound_cuts"],
 		}
 		st.Solver = SolverStatus{
 			ExactSolves:     c["exact.solves"],

@@ -109,7 +109,6 @@ var (
 		{"time-error", "predict"},
 		{"overhead", "predict"},
 		{"ops-linger", "ops-addr"},
-		{"shard-workers", "shards"},
 		{"provenance", "trace-out", "ops-addr"},
 	}
 )

@@ -103,7 +103,6 @@ func command(all bool, args string) error {
 		fs.Float64("accuracy", 1, "")
 		fs.Float64("time-error", 0, "")
 		fs.Float64("batch-window", 0, "")
-		fs.Int("shard-workers", 0, "")
 		fs.String("fault-plan", "", "")
 	} else {
 		fs.Float64("speed", 1, "")
@@ -123,7 +122,7 @@ func TestParseRefusals(t *testing.T) {
 		{true, "-shards 2 -ops-addr :0", "-ops-addr"},
 		{true, "-shards 2 -fault-plan seed=1", "-fault-plan"},
 		{true, "-shards 2 -provenance", "-provenance"},
-		{true, "-shards 2 -predict=false -shard-workers 2", ""},
+		{true, "-shards 2 -predict=false", ""},
 		{true, "-shards 0", "-shards"},
 		{true, "-accuracy 0.5", "-accuracy"},
 		{true, "-predict -accuracy 0.5", ""},
@@ -131,8 +130,6 @@ func TestParseRefusals(t *testing.T) {
 		{true, "-time-error 0.1", "-time-error"},
 		{true, "-ops-linger 1s", "-ops-linger"},
 		{true, "-ops-addr :0 -ops-linger 1s", ""},
-		{true, "-shard-workers 2", "-shard-workers"},
-		{true, "-shards 1 -shard-workers 2", "-shard-workers"},
 		{true, "-provenance", "-provenance"},
 		{true, "-provenance=false", ""},
 		{true, "-provenance -trace-out x", ""},

@@ -241,3 +241,22 @@ func TestFeasCacheNil(t *testing.T) {
 		t.Fatalf("nil stats: %+v", s)
 	}
 }
+
+func TestEntryFingerprintMatchesListDigest(t *testing.T) {
+	// entryHash is the per-entry term of the incremental multiset digest:
+	// a single-entry list's digest must be derived from exactly it, so two
+	// entries with equal hashes produce equal list digests.
+	e := Entry{ReadyAt: 5, Deadline: 25, Rem: 3.5}
+	shifted := Entry{ReadyAt: 105, Deadline: 125, Rem: 3.5}
+	if entryHash(5, e) != entryHash(105, shifted) {
+		t.Fatal("time-shifted identical entry changed its hash")
+	}
+	var a, b EntryList
+	a.EnableFingerprint(5)
+	b.EnableFingerprint(105)
+	a.Insert(5, e)
+	b.Insert(105, shifted)
+	if a.FeasFingerprint(true) != b.FeasFingerprint(true) {
+		t.Fatal("entry hashes equal but list digests differ")
+	}
+}

@@ -31,7 +31,7 @@
 // server's mutex, honouring the documented Solver/BudgetedSolver
 // contracts (solver instances are not safe for concurrent Solve; see
 // core.BudgetedSolver). Cross-activation warm-start state
-// (sched.WarmState inside exact.Optimal, the heuristic's probe cache)
+// (the recorded mapping inside exact.Optimal, the heuristic's probe cache)
 // therefore carries forward exactly as it does under the simulator.
 // Overload degrades gracefully by configuring a core.BudgetedSolver as
 // Config.Engine.Solver: per-activation budgets bound decision latency

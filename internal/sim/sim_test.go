@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"predrm/internal/core"
@@ -377,5 +378,47 @@ func TestPropertyNoMissesAcrossSeeds(t *testing.T) {
 				t.Fatalf("trial %d pred=%v: %d deadline misses", trial, pred, res.DeadlineMisses)
 			}
 		}
+	}
+}
+
+// TestRunRejectsNonFiniteOverhead: a NaN, infinite or negative decision
+// overhead — configured, or returned by the overhead hook — is refused
+// with an error instead of running as if it were some other value.
+func TestRunRejectsNonFiniteOverhead(t *testing.T) {
+	set, tr := testWorkload(t, trace.VeryTight, 50, 2, 1)
+	for _, c := range []struct {
+		name     string
+		overhead float64
+		hook     float64 // returned for request 3 when non-zero
+		want     string  // substring of the error; "" means accepted
+	}{
+		{"zero", 0, 0, ""},
+		{"finite", 0.5, 0.5, ""},
+		{"nan", math.NaN(), 0, "overhead"},
+		{"inf", math.Inf(1), 0, "overhead"},
+		{"negative", -1, 0, "overhead"},
+		{"hook-nan", 0, math.NaN(), "request 3"},
+		{"hook-inf", 0, math.Inf(1), "request 3"},
+		{"hook-negative", 0, -0.5, "request 3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := baseConfig(set)
+			cfg.ExtraOverhead = c.overhead
+			if c.hook != 0 {
+				cfg.OverheadHook = func(req int, _ float64) float64 {
+					if req == 3 {
+						return c.hook
+					}
+					return 0
+				}
+			}
+			_, err := Run(cfg, tr)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("refused: %v", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Fatalf("got error %v, want one naming %q", err, c.want)
+			}
+		})
 	}
 }

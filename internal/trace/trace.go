@@ -7,6 +7,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"predrm/internal/rng"
 	"predrm/internal/task"
@@ -49,11 +50,14 @@ func (t *Trace) Validate(ts *task.Set) error {
 	}
 	prev := 0.0
 	for i, r := range t.Requests {
+		if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
+			return fmt.Errorf("trace: request %d has non-finite arrival %v", i, r.Arrival)
+		}
 		if r.Arrival < prev {
 			return fmt.Errorf("trace: request %d arrives at %v before previous %v", i, r.Arrival, prev)
 		}
 		prev = r.Arrival
-		if r.Deadline <= 0 {
+		if !(r.Deadline > 0) { // NaN fails > 0
 			return fmt.Errorf("trace: request %d has non-positive deadline %v", i, r.Deadline)
 		}
 		if ts != nil && (r.Type < 0 || r.Type >= ts.Len()) {

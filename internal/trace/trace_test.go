@@ -141,6 +141,10 @@ func TestValidateRejects(t *testing.T) {
 		{"unordered", Trace{Requests: []Request{{Arrival: 2, Type: 0, Deadline: 1}, {Arrival: 1, Type: 0, Deadline: 1}}}},
 		{"bad-deadline", Trace{Requests: []Request{{Arrival: 0, Type: 0, Deadline: 0}}}},
 		{"bad-type", Trace{Requests: []Request{{Arrival: 0, Type: 1000, Deadline: 1}}}},
+		{"nan-arrival", Trace{Requests: []Request{{Arrival: math.NaN(), Type: 0, Deadline: 1}}}},
+		{"unordered-after-nan", Trace{Requests: []Request{{Arrival: 1, Type: 0, Deadline: 1}, {Arrival: math.NaN(), Type: 0, Deadline: 1}, {Arrival: 0.5, Type: 0, Deadline: 1}}}},
+		{"inf-arrival", Trace{Requests: []Request{{Arrival: math.Inf(1), Type: 0, Deadline: 1}}}},
+		{"nan-deadline", Trace{Requests: []Request{{Arrival: 0, Type: 0, Deadline: math.NaN()}}}},
 	}
 	for _, c := range cases {
 		if err := c.tr.Validate(ts); err == nil {
